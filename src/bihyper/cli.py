@@ -91,7 +91,6 @@ def _config(args: argparse.Namespace, default_cap: int = 64) -> EnumerationConfi
     return EnumerationConfig(
         max_vertices=cap,
         time_budget=args.time_budget,
-        parallel=args.parallel,
         collect_partitions=False,
     )
 
@@ -296,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="enumeration vertex cap")
     caps.add_argument("--time-budget", type=float, metavar="SECONDS",
                       help="abort enumeration after this long")
-    caps.add_argument("--parallel", type=int, default=1, metavar="N",
-                      help="search worker count (result is identical)")
 
     construct = sub.add_parser("construct", help="build a family instance")
     con_sub = construct.add_subparsers(dest="family", required=True)

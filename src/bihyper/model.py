@@ -13,7 +13,6 @@ never looks at coordinates.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from math import prod
@@ -140,12 +139,9 @@ class MixedHypergraph:
     def with_bi_edge(self, edge: Iterable[int]) -> "MixedHypergraph":
         """Return a copy with `edge` added to both families."""
         e = tuple(edge)
-        return make_mixed_hypergraph(
-            self.vertices,
-            self.c_edges + (e,),
-            self.d_edges + (e,),
-            dims=self.dims,
-        )
+        c_edges = self.c_edges + (e,)
+        d_edges = c_edges if self.is_bihypergraph else self.d_edges + (e,)
+        return make_mixed_hypergraph(self.vertices, c_edges, d_edges, dims=self.dims)
 
 
 def _canonical_edges(edges: Iterable[Iterable[int]], n: int, family: str) -> tuple[Edge, ...]:
@@ -154,11 +150,11 @@ def _canonical_edges(edges: Iterable[Iterable[int]], n: int, family: str) -> tup
         e = tuple(raw)
         if len(e) < 2:
             raise ValueError(f"{family}-edge {e!r} has fewer than 2 vertices")
+        for v in e:
+            if type(v) is not int or not 0 <= v < n:  # type(): bool is not an index
+                raise ValueError(f"{family}-edge {e!r} references invalid vertex index {v!r}")
         if len(set(e)) != len(e):
             raise ValueError(f"{family}-edge {e!r} has a repeated vertex")
-        for v in e:
-            if not 0 <= v < n:
-                raise ValueError(f"{family}-edge {e!r} references invalid vertex index {v}")
         canon.add(tuple(sorted(e)))
     return tuple(sorted(canon))
 
@@ -172,8 +168,9 @@ def make_mixed_hypergraph(
     """Validate and canonicalize a mixed hypergraph.
 
     Raises ValueError for an empty vertex set, ragged or duplicated coordinate
-    tuples, out-of-range edge indices, edges with repeated vertices, or edges
-    of size < 2. Duplicate edges within a family are silently merged.
+    tuples, edge indices that are out of range or not ints, edges with repeated
+    vertices, or edges of size < 2. Duplicate edges within a family are
+    silently merged.
     """
     verts = tuple(tuple(int(c) for c in v) for v in vertices)
     if not verts:
@@ -192,12 +189,13 @@ def make_mixed_hypergraph(
         for v in verts:
             if any(not 1 <= c <= m for c, m in zip(v, box)):
                 raise ValueError(f"vertex {v} outside the box {box}")
-    return MixedHypergraph(
-        vertices=verts,
-        c_edges=_canonical_edges(c_edges, len(verts), "C"),
-        d_edges=_canonical_edges(d_edges, len(verts), "D"),
-        dims=box,
-    )
+    # a bi-hypergraph keeps one edge tuple for both families; passing the same
+    # object for both also skips the second canonicalization
+    c_canon = _canonical_edges(c_edges, len(verts), "C")
+    d_canon = c_canon if d_edges is c_edges else _canonical_edges(d_edges, len(verts), "D")
+    if d_canon == c_canon:
+        d_canon = c_canon
+    return MixedHypergraph(vertices=verts, c_edges=c_canon, d_edges=d_canon, dims=box)
 
 
 @dataclass(frozen=True)
@@ -393,18 +391,33 @@ def to_json_dict(h: MixedHypergraph) -> dict:
     }
 
 
-def from_json_dict(data: Mapping) -> MixedHypergraph:
+def _json_lists(data: Mapping, key: str) -> list:
+    """`data[key]` checked to be a list of lists."""
     try:
-        vertices = data["vertices"]
-        c_edges = data["c_edges"]
-        d_edges = data["d_edges"]
-    except KeyError as missing:
-        raise ValueError(f"hypergraph JSON is missing key {missing}") from None
+        value = data[key]
+    except KeyError:
+        raise ValueError(f"hypergraph JSON is missing key {key!r}") from None
+    if not isinstance(value, list) or not all(isinstance(item, list) for item in value):
+        raise ValueError(f"hypergraph JSON key {key!r} must be a list of lists")
+    return value
+
+
+def from_json_dict(data: Mapping) -> MixedHypergraph:
+    """Check the JSON shapes, then build; edge indices are checked when the
+    edges are canonicalized, and equal C and D lists are canonicalized once."""
+    if not isinstance(data, Mapping):
+        raise ValueError("hypergraph JSON must be an object")
+    vertices = _json_lists(data, "vertices")
+    c_edges = _json_lists(data, "c_edges")
+    d_edges = _json_lists(data, "d_edges")
+    # exact type checks: bool is an int subclass, and JSON true/false are not numbers here
+    if not all(type(c) is int for v in vertices for c in v):
+        raise ValueError("hypergraph JSON vertex coordinates must be integers")
+    dims = data.get("dims")
+    if dims is not None and not (isinstance(dims, list) and all(type(x) is int for x in dims)):
+        raise ValueError("hypergraph JSON key 'dims' must be null or a list of integers")
     return make_mixed_hypergraph(
-        (tuple(v) for v in vertices),
-        c_edges,
-        d_edges,
-        dims=data.get("dims"),
+        vertices, c_edges, c_edges if d_edges == c_edges else d_edges, dims=dims
     )
 
 
@@ -419,7 +432,3 @@ def load_hypergraph(path: str | Path) -> MixedHypergraph:
         raise ValueError(f"invalid hypergraph JSON in {path}: {err}") from None
     return from_json_dict(data)
 
-
-def all_triples(n: int) -> Iterable[tuple[int, int, int]]:
-    """Ascending index triples over range(n), for edge-set complements."""
-    return itertools.combinations(range(n), 3)

@@ -13,9 +13,9 @@ They deliberately share no search code.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterator
@@ -28,7 +28,6 @@ from .model import (
     MixedHypergraph,
     Partition,
     UncolorableError,
-    all_triples,
     is_proper_coloring,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
 
 BRUTE_FORCE_MAX_VERTICES = 12
 _TIME_CHECK_MASK = 0xFFF  # poll the clock every 4096 search nodes
-_SPLIT_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,6 @@ class EnumerationConfig:
 
     max_vertices: int = 64
     time_budget: float | None = None
-    parallel: int = 1
     collect_partitions: bool = True
 
     def __post_init__(self) -> None:
@@ -69,8 +66,6 @@ class EnumerationConfig:
             raise ValueError("max_vertices must be positive")
         if self.time_budget is not None and self.time_budget <= 0:
             raise ValueError("time_budget must be positive")
-        if self.parallel < 1:
-            raise ValueError("parallel must be >= 1")
 
 
 class _SearchSpace:
@@ -130,24 +125,32 @@ def _domain_mask(
 
 
 def _search(
-    space: _SearchSpace,
-    labels: list[int],
-    start: int,
-    used: int,
-    emit: Callable[[list[int]], None],
-    deadline: float | None,
-    stats: dict,
+    h: MixedHypergraph, cfg: EnumerationConfig, emit: Callable[[list[int]], None]
 ) -> None:
-    """Depth-first extension of a partial restricted-growth assignment."""
+    """Depth-first search over restricted-growth assignments.
+
+    Calls `emit(labels)` once per feasible partition, with `labels` indexed by
+    vertex; the list is reused, so a caller that keeps it must copy it.
+    """
+    if h.n > cfg.max_vertices:
+        raise CapExceeded(
+            f"hypergraph has {h.n} vertices, enumeration cap is {cfg.max_vertices}",
+            stats={"vertices": h.n, "max_vertices": cfg.max_vertices},
+        )
+    space = _SearchSpace(h)
     order = space.order
     fire = space.fire
     n = space.n
-    nodes = stats["nodes"]
+    deadline = None
+    if cfg.time_budget is not None:
+        deadline = time.perf_counter() + cfg.time_budget
+    labels = [-1] * n
+    nodes = found = 0
 
     def rec(p: int, used: int) -> None:
-        nonlocal nodes
+        nonlocal nodes, found
         if p == n:
-            stats["found"] += 1
+            found += 1
             emit(labels)
             return
         v = order[p]
@@ -157,10 +160,10 @@ def _search(
             if rest & 1:
                 nodes += 1
                 if deadline is not None and nodes & _TIME_CHECK_MASK == 0:
-                    stats["nodes"] = nodes
                     if time.perf_counter() > deadline:
                         raise CapExceeded(
-                            "time budget exceeded during enumeration", stats=dict(stats)
+                            "time budget exceeded during enumeration",
+                            stats={"nodes": nodes, "found": found},
                         )
                 labels[v] = color
                 rec(p + 1, used + (1 if color == used else 0))
@@ -169,92 +172,9 @@ def _search(
             color += 1
 
     try:
-        rec(start, used)
+        rec(0, 0)
     finally:
-        stats["nodes"] = nodes
-
-
-def _prefix_blocks(space: _SearchSpace, depth: int) -> list[tuple[tuple[int, ...], int]]:
-    """Viable assignments of the first `depth` vertices, in search order."""
-    blocks: list[tuple[tuple[int, ...], int]] = []
-    labels = [-1] * space.n
-
-    def rec(p: int, used: int) -> None:
-        if p == depth:
-            blocks.append((tuple(labels[v] for v in space.order[:depth]), used))
-            return
-        v = space.order[p]
-        allowed = _domain_mask(space.fire[v], labels, used)
-        for color in range(used + 1):
-            if allowed >> color & 1:
-                labels[v] = color
-                rec(p + 1, used + (1 if color == used else 0))
-                labels[v] = -1
-
-    rec(0, 0)
-    return blocks
-
-
-def _run_search(h: MixedHypergraph, cfg: EnumerationConfig, sink_factory: Callable) -> list:
-    """Drive the search, splitting the tree across workers when asked.
-
-    Work is partitioned into prefix blocks at a fixed shallow depth; each
-    worker extends one block into its own sink (made by `sink_factory`), and
-    the per-block results are returned in block order, so worker scheduling
-    never influences the outcome.
-    """
-    if h.n > cfg.max_vertices:
-        raise CapExceeded(
-            f"hypergraph has {h.n} vertices, enumeration cap is {cfg.max_vertices}",
-            stats={"vertices": h.n, "max_vertices": cfg.max_vertices},
-        )
-    space = _SearchSpace(h)
-    deadline = None
-    if cfg.time_budget is not None:
-        deadline = time.perf_counter() + cfg.time_budget
-
-    if cfg.parallel == 1 or h.n <= _SPLIT_DEPTH:
-        sink = sink_factory()
-        labels = [-1] * h.n
-        _search(space, labels, 0, 0, sink, deadline, {"nodes": 0, "found": 0})
-        return [sink]
-
-    depth = min(_SPLIT_DEPTH, h.n)
-    blocks = _prefix_blocks(space, depth)
-
-    def run_block(block: tuple[tuple[int, ...], int]):
-        prefix, used = block
-        sink = sink_factory()
-        labels = [-1] * h.n
-        for v, lab in zip(space.order[:depth], prefix):
-            labels[v] = lab
-        _search(space, labels, depth, used, sink, deadline, {"nodes": 0, "found": 0})
-        return sink
-
-    with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-        # map() preserves block order and re-raises the first worker failure,
-        # e.g. a blown time budget
-        return list(pool.map(run_block, blocks))
-
-
-class _LabelCollector:
-    """Sink recording every solution's label string."""
-
-    def __init__(self) -> None:
-        self.labels: list[tuple[int, ...]] = []
-
-    def __call__(self, labels: list[int]) -> None:
-        self.labels.append(tuple(labels))
-
-
-class _ClassCounter:
-    """Sink counting solutions by number of classes, never storing them."""
-
-    def __init__(self) -> None:
-        self.by_k: Counter[int] = Counter()
-
-    def __call__(self, labels: list[int]) -> None:
-        self.by_k[len(set(labels))] += 1
+        del rec  # rec refers to itself; breaking that cycle frees the search space now
 
 
 def enumerate_feasible_partitions(
@@ -263,14 +183,11 @@ def enumerate_feasible_partitions(
     """All partitions of the vertex set that properly color the hypergraph.
 
     Output is in canonical form and sorted by restricted-growth label string,
-    so it is identical across runs and worker counts.
+    so it is identical across runs.
     """
     cfg = cfg or EnumerationConfig()
-    found = [
-        Partition.from_labels(labels)
-        for sink in _run_search(h, cfg, _LabelCollector)
-        for labels in sink.labels
-    ]
+    found: list[Partition] = []
+    _search(h, cfg, lambda labels: found.append(Partition.from_labels(labels)))
     found.sort(key=Partition.as_labels)
     return found
 
@@ -288,8 +205,11 @@ def chromatic_spectrum(
         by_k = Counter(p.num_classes for p in enumerate_feasible_partitions(h, cfg))
     else:
         by_k = Counter()
-        for sink in _run_search(h, cfg, _ClassCounter):
-            by_k.update(sink.by_k)
+
+        def count(labels: list[int]) -> None:
+            by_k[len(set(labels))] += 1
+
+        _search(h, cfg, count)
     return ChromaticSpectrum.from_class_counts(by_k)
 
 
@@ -379,7 +299,7 @@ def verify_edge_maximality(
     failures: list[tuple[int, int, int]] = []
     tested = 0
     base = chromatic_spectrum(h, cfg) if mode == "enumerate" else None
-    for triple in all_triples(h.n):
+    for triple in itertools.combinations(range(h.n), 3):
         if triple in edge_set:
             continue
         tested += 1

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bihyper import (
     ChromaticSpectrum,
     DimsSpec,
@@ -199,6 +201,31 @@ def test_missing_file_is_input_error(capsys):
     assert "error" in stderr
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        [1, 2],
+        {"vertices": [[[1]], [[2]]], "c_edges": [], "d_edges": []},
+        {"vertices": [[1], [2], [3]], "c_edges": [["0", 1, 2]], "d_edges": []},
+        {"vertices": [[1], [2], [3]], "c_edges": [[0.0, 1, 2]], "d_edges": []},
+        {"vertices": [[1], [2], [3]], "c_edges": [[False, True, 2]], "d_edges": []},
+    ],
+    ids=["top-level-list", "nested-vertices", "string-index", "float-index", "bool-index"],
+)
+def test_malformed_json_is_input_error(tmp_path, capsys, body):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    code, _, stderr = invoke(capsys, "spectrum", str(path))
+    assert code == 2
+    assert "error:" in stderr and "Traceback" not in stderr
+
+
+def test_parallel_flag_is_usage_error(capsys):
+    code, _, stderr = invoke(capsys, "spectrum", "h.json", "--parallel", "2")
+    assert code == 2
+    assert "unrecognized arguments" in stderr
+
+
 def test_bad_set_syntax_is_input_error(capsys):
     code, _, _ = invoke(capsys, "verify", "thm23", "--set", "4-1")
     assert code == 2
@@ -261,9 +288,7 @@ def test_feasible_on_uncolorable_file(tmp_path, capsys):
 
 
 def test_cap_override_allows_running(capsys):
-    code, stdout, _ = invoke(
-        capsys, "verify", "lemma21", "5", "4", "--max-vertices", "64", "--parallel", "2"
-    )
+    code, stdout, _ = invoke(capsys, "verify", "lemma21", "5", "4", "--max-vertices", "64")
     assert code == 0
     assert "VERIFIED" in stdout
 

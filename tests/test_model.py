@@ -73,6 +73,8 @@ def test_edges_canonically_sorted():
         [(0,)],  # too small
         [(0, 99)],  # out of range
         [(0, -1)],
+        [("0", 1, 2)],  # indices must be ints
+        [(False, True, 2)],  # bool is not an index
     ],
 )
 def test_bad_edges_rejected(c_edges):
@@ -293,6 +295,14 @@ def test_json_roundtrip_file(tmp_path):
     assert load_hypergraph(path) == H43
     raw = json.loads(path.read_text())
     assert raw["d_edges"] == raw["c_edges"]
+
+
+def test_bi_edges_stored_once(tmp_path):
+    path = tmp_path / "h.json"
+    save_hypergraph(H43, path)
+    explicit = make_mixed_hypergraph([(1,), (2,), (3,)], [[0, 1, 2]], [(2, 1, 0)])
+    for h in (H43, H43.with_bi_edge((0, 1, 2)), load_hypergraph(path), explicit):
+        assert h.is_bihypergraph and h.c_edges is h.d_edges
 
 
 def test_json_missing_key():
