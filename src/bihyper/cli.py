@@ -88,11 +88,7 @@ def _parse_target(text: str) -> SpectrumTarget:
 
 def _config(args: argparse.Namespace, default_cap: int = 64) -> EnumerationConfig:
     cap = args.max_vertices if args.max_vertices is not None else default_cap
-    return EnumerationConfig(
-        max_vertices=cap,
-        time_budget=args.time_budget,
-        collect_partitions=False,
-    )
+    return EnumerationConfig(max_vertices=cap, time_budget=args.time_budget)
 
 
 def _emit_hypergraph(h: MixedHypergraph, label: str, args: argparse.Namespace) -> int:

@@ -140,8 +140,11 @@ def is_isomorphic(
             del mapping[u]
         return False
 
-    if not assign(0):
-        return None
+    try:
+        if not assign(0):
+            return None
+    finally:
+        del assign  # assign refers to itself; breaking that cycle frees the search state now
     witness = dict(mapping)
     if not check_isomorphism(h1, h2, witness):  # pragma: no cover - safety net
         raise AssertionError("internal error: search returned an invalid witness")

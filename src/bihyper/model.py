@@ -367,12 +367,9 @@ def derived_subhypergraph(h: MixedHypergraph, subset: Iterable[int]) -> MixedHyp
     def filtered(edges: tuple[Edge, ...]) -> list[Edge]:
         return [tuple(remap[v] for v in e) for e in edges if member.issuperset(e)]
 
-    return make_mixed_hypergraph(
-        (h.vertices[v] for v in keep),
-        filtered(h.c_edges),
-        filtered(h.d_edges),
-        dims=h.dims,
-    )
+    c_edges = filtered(h.c_edges)
+    d_edges = c_edges if h.is_bihypergraph else filtered(h.d_edges)
+    return make_mixed_hypergraph((h.vertices[v] for v in keep), c_edges, d_edges, dims=h.dims)
 
 
 # --- JSON interchange -------------------------------------------------------

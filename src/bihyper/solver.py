@@ -2,9 +2,10 @@
 
 Two independent routes compute the same answers:
 
-* `enumerate_feasible_partitions` / `chromatic_spectrum`: a backtracking
-  search over restricted-growth color assignments with unit-rule pruning on
-  edges, fast enough for the 60-vertex product instances;
+* `enumerate_feasible_partitions` / `chromatic_spectrum`: one backtracking
+  loop on an explicit stack (no recursion limit) over restricted-growth color
+  assignments, pruned by each edge's unit rule once its last member is colored
+  (see `_search`), fast enough for the 60-vertex product instances;
 * `brute_force_spectrum`: an unpruned scan of ALL set partitions filtered by
   the public properness predicate, the trusted oracle for small inputs.
 
@@ -59,7 +60,7 @@ class EnumerationConfig:
 
     max_vertices: int = 64
     time_budget: float | None = None
-    collect_partitions: bool = True
+    collect_partitions: bool = False
 
     def __post_init__(self) -> None:
         if self.max_vertices < 1:
@@ -68,113 +69,86 @@ class EnumerationConfig:
             raise ValueError("time_budget must be positive")
 
 
-class _SearchSpace:
-    """Static data for one hypergraph: assignment order and edge unit rules.
+def _search(
+    h: MixedHypergraph, cfg: EnumerationConfig, emit: Callable[[list[int]], None]
+) -> None:
+    """Depth-first search over restricted-growth assignments, on an explicit stack.
 
-    Vertices are assigned in descending static degree order (ties by index).
-    Each edge is attached to the member assigned last, so its constraint fires
-    exactly once, when the edge becomes fully colored:
+    Vertices are assigned in descending degree order (ties by index). Each
+    edge is checked once, at the position of its member assigned last, by a
+    unit rule that narrows the classes open there (the used ones plus one
+    fresh one):
 
     * C-edge whose other members got pairwise distinct colors: the last vertex
       must reuse one of them;
     * D-edge whose other members got one common color: the last vertex must
       avoid it.
 
-    Fully-colored edge checks are subsumed by these rules.
-    """
-
-    def __init__(self, h: MixedHypergraph):
-        n = h.n
-        degree = [0] * n
-        for e in h.c_edges:
-            for v in e:
-                degree[v] += 1
-        for e in h.d_edges:
-            for v in e:
-                degree[v] += 1
-        self.order = sorted(range(n), key=lambda v: (-degree[v], v))
-        pos = {v: p for p, v in enumerate(self.order)}
-        cset = set(h.c_edges)
-        dset = set(h.d_edges)
-        self.fire: list[list[tuple[tuple[int, ...], bool, bool]]] = [[] for _ in range(n)]
-        for e in sorted(cset | dset):
-            last = max(e, key=pos.__getitem__)
-            others = tuple(v for v in e if v != last)
-            self.fire[last].append((others, e in cset, e in dset))
-        self.n = n
-
-
-def _domain_mask(
-    fire_v: list[tuple[tuple[int, ...], bool, bool]], labels: list[int], used: int
-) -> int:
-    """Bitmask of classes open to a vertex: used classes plus one fresh one,
-    narrowed by the unit rules of every edge this vertex completes."""
-    allowed = (1 << (used + 1)) - 1
-    for others, in_c, in_d in fire_v:
-        got = {labels[u] for u in others}
-        if in_c and len(got) == len(others):
-            mask = 0
-            for lab in got:
-                mask |= 1 << lab
-            allowed &= mask
-        if in_d and len(got) == 1:
-            allowed &= ~(1 << next(iter(got)))
-        if not allowed:
-            return 0
-    return allowed
-
-
-def _search(
-    h: MixedHypergraph, cfg: EnumerationConfig, emit: Callable[[list[int]], None]
-) -> None:
-    """Depth-first search over restricted-growth assignments.
-
-    Calls `emit(labels)` once per feasible partition, with `labels` indexed by
-    vertex; the list is reused, so a caller that keeps it must copy it.
+    Fully-colored edge checks are subsumed by these rules. Calls `emit(labels)`
+    once per feasible partition, with `labels` indexed by vertex; the list is
+    reused, so a caller that keeps it must copy it.
     """
     if h.n > cfg.max_vertices:
         raise CapExceeded(
             f"hypergraph has {h.n} vertices, enumeration cap is {cfg.max_vertices}",
             stats={"vertices": h.n, "max_vertices": cfg.max_vertices},
         )
-    space = _SearchSpace(h)
-    order = space.order
-    fire = space.fire
-    n = space.n
+    n = h.n
+    degree = [0] * n
+    for e in h.c_edges + h.d_edges:
+        for v in e:
+            degree[v] += 1
+    order = sorted(range(n), key=lambda v: (-degree[v], v))
+    pos = {v: p for p, v in enumerate(order)}
+    cset = set(h.c_edges)
+    dset = set(h.d_edges)
+    fire: list[list[tuple[tuple[int, ...], bool, bool]]] = [[] for _ in range(n)]
+    for e in sorted(cset | dset):
+        last = max(e, key=pos.__getitem__)
+        fire[pos[last]].append((tuple(v for v in e if v != last), e in cset, e in dset))
     deadline = None
     if cfg.time_budget is not None:
         deadline = time.perf_counter() + cfg.time_budget
     labels = [-1] * n
+    rest = [0] * (n + 1)  # rest[p]: classes position p has yet to try; rest[n] stays 0
+    used = [0] * (n + 1)  # used[p]: classes opened by positions before p
     nodes = found = 0
-
-    def rec(p: int, used: int) -> None:
-        nonlocal nodes, found
+    p = 0
+    while True:
         if p == n:
             found += 1
             emit(labels)
-            return
-        v = order[p]
-        rest = _domain_mask(fire[v], labels, used)
-        color = 0
-        while rest:
-            if rest & 1:
-                nodes += 1
-                if deadline is not None and nodes & _TIME_CHECK_MASK == 0:
-                    if time.perf_counter() > deadline:
-                        raise CapExceeded(
-                            "time budget exceeded during enumeration",
-                            stats={"nodes": nodes, "found": found},
-                        )
-                labels[v] = color
-                rec(p + 1, used + (1 if color == used else 0))
-                labels[v] = -1
-            rest >>= 1
-            color += 1
-
-    try:
-        rec(0, 0)
-    finally:
-        del rec  # rec refers to itself; breaking that cycle frees the search space now
+        else:
+            allowed = (1 << (used[p] + 1)) - 1
+            for others, in_c, in_d in fire[p]:
+                got = {labels[u] for u in others}
+                if in_c and len(got) == len(others):
+                    mask = 0
+                    for lab in got:
+                        mask |= 1 << lab
+                    allowed &= mask
+                if in_d and len(got) == 1:
+                    allowed &= ~(1 << next(iter(got)))
+                if not allowed:
+                    break
+            rest[p] = allowed
+        while not rest[p]:
+            if p == 0:
+                return
+            p -= 1
+        low = rest[p] & -rest[p]
+        rest[p] ^= low
+        color = low.bit_length() - 1
+        nodes += 1
+        if deadline is not None and nodes & _TIME_CHECK_MASK == 0:
+            if time.perf_counter() > deadline:
+                raise CapExceeded(
+                    "time budget exceeded during enumeration",
+                    stats={"nodes": nodes, "found": found},
+                )
+        labels[order[p]] = color
+        used[p + 1] = used[p] + 1 if color == used[p] else used[p]
+        p += 1
 
 
 def enumerate_feasible_partitions(
@@ -197,8 +171,9 @@ def chromatic_spectrum(
 ) -> ChromaticSpectrum:
     """Count feasible partitions by class count.
 
-    With `collect_partitions` unset the search only streams counts, which
-    keeps memory flat on permissive hypergraphs with huge partition families.
+    By default the search only streams counts, which keeps memory flat on
+    permissive hypergraphs with huge partition families; `collect_partitions`
+    builds and sorts every partition first, as `enumerate_feasible_partitions`.
     """
     cfg = cfg or EnumerationConfig()
     if cfg.collect_partitions:
@@ -231,16 +206,16 @@ def chromatic_numbers(
 def _all_label_strings(n: int) -> Iterator[tuple[int, ...]]:
     """Every restricted-growth string of length n, lexicographically."""
     labels = [0] * n
-
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(labels)
+    while True:
+        yield tuple(labels)
+        # bump the rightmost label that may grow; labels[i] <= max(labels[:i]) + 1
+        i = n - 1
+        while i > 0 and labels[i] > max(labels[:i]):
+            i -= 1
+        if i <= 0:
             return
-        for color in range(used + 1):
-            labels[i] = color
-            yield from rec(i + 1, used + (1 if color == used else 0))
-
-    yield from rec(1, 1)
+        labels[i] += 1
+        labels[i + 1:] = [0] * (n - 1 - i)
 
 
 def brute_force_spectrum(h: MixedHypergraph) -> ChromaticSpectrum:
@@ -288,8 +263,11 @@ def verify_edge_maximality(
     drops. The check confirms the coordinate witness exists for every absent
     triple.
 
-    enumerate mode: recompute the full spectrum with the triple added and
-    assert it differs; exact but only viable within the enumeration caps.
+    enumerate mode: enumerate the product's feasible partitions once. A
+    3-element bi-edge holds under a partition iff it touches exactly two
+    classes, so adding the triple keeps exactly those partitions, and the
+    spectrum is unchanged iff every partition puts the triple on two classes.
+    Exact, but only viable within the enumeration caps.
     """
     if mode not in ("proof", "enumerate"):
         raise ValueError(f"mode must be 'proof' or 'enumerate', got {mode!r}")
@@ -298,7 +276,11 @@ def verify_edge_maximality(
     edge_set = set(h.bi_edges)
     failures: list[tuple[int, int, int]] = []
     tested = 0
-    base = chromatic_spectrum(h, cfg) if mode == "enumerate" else None
+    base = None
+    if mode == "enumerate":
+        partitions = enumerate_feasible_partitions(h, cfg)
+        base = ChromaticSpectrum.from_class_counts(Counter(p.num_classes for p in partitions))
+        label_maps = [p.label_map() for p in partitions]
     for triple in itertools.combinations(range(h.n), 3):
         if triple in edge_set:
             continue
@@ -307,9 +289,8 @@ def verify_edge_maximality(
             a, b, c = (h.vertices[v] for v in triple)
             if not any(len({x, y, z}) != 2 for x, y, z in zip(a, b, c)):
                 failures.append(triple)  # pragma: no cover - cannot happen
-        else:
-            if chromatic_spectrum(h.with_bi_edge(triple), cfg) == base:
-                failures.append(triple)
+        elif all(len({lab[v] for v in triple}) == 2 for lab in label_maps):
+            failures.append(triple)
     expected = comb(h.n, 3) - len(edge_set)
     if tested != expected:  # pragma: no cover - accounting self-check
         raise AssertionError(f"tested {tested} non-edges, expected {expected}")

@@ -94,7 +94,8 @@ def test_criterion_4_spectrum_60_vertices_stretch():
 def test_criterion_5_edge_maximality():
     description = (
         "every absent triple changes the spectrum: (3,3) by re-enumeration, "
-        "(4,3) and (4,3,3) by coordinate witnesses"
+        "(3,3), (4,3) and (4,3,3) by one enumeration each, and (4,3) and "
+        "(4,3,3) by coordinate witnesses"
     )
     with criterion(5, description):
         start = perf_counter()
@@ -118,9 +119,10 @@ def test_criterion_5_edge_maximality():
 
         start = perf_counter()
         for dims, expected_tested in (((4, 3), 148), ((4, 3, 3), 5412)):
-            report = verify_edge_maximality(DimsSpec(dims), mode="proof")
-            assert report.tested_triples == expected_tested
-            assert report.failures == ()
+            for mode in ("proof", "enumerate"):
+                report = verify_edge_maximality(DimsSpec(dims), mode=mode)
+                assert report.tested_triples == expected_tested
+                assert report.failures == ()
         assert perf_counter() - start < 5.0
 
 

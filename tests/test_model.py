@@ -211,6 +211,7 @@ def test_derived_keeps_only_inside_edges():
     assert sub.n == 6
     assert len(sub.bi_edges) == 12  # frozen from the exhaustive 20-triple scan
     assert list(sub.bi_edges) == oracle_scan_edges(sub.vertices)
+    assert sub.c_edges is sub.d_edges  # filtered and canonicalized once
 
 
 def test_derived_matches_direct_filter():

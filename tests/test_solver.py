@@ -1,5 +1,6 @@
 """Enumeration engine, oracle agreement, and the claim verifiers."""
 
+import gc
 import itertools
 import json
 import random
@@ -19,6 +20,7 @@ from bihyper import (
     chromatic_spectrum,
     enumerate_feasible_partitions,
     feasible_set,
+    is_isomorphic,
     is_proper_coloring,
     make_mixed_hypergraph,
     product_bihypergraph,
@@ -103,6 +105,38 @@ def test_time_budget_aborts_with_stats():
     with pytest.raises(CapExceeded) as err:
         chromatic_spectrum(edgeless(18), cfg)
     assert "nodes" in err.value.stats
+
+
+def test_deep_instance_has_no_recursion_limit():
+    # a star of C-edges {0, i} on 1,200 vertices forces one class; a recursive
+    # search would need a frame per vertex
+    n = 1200
+    h = make_mixed_hypergraph([(i + 1,) for i in range(n)], [(0, i) for i in range(1, n)], [])
+    sp = chromatic_spectrum(h, EnumerationConfig(max_vertices=5000))
+    assert sp.counts == (1,)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h: is_isomorphic(h, h),
+        chromatic_spectrum,
+        enumerate_feasible_partitions,
+    ],
+    ids=["is_isomorphic", "chromatic_spectrum", "enumerate_feasible_partitions"],
+)
+def test_calls_leave_no_reference_cycles(call):
+    # a search that refers to itself would keep its tables alive until the
+    # cyclic collector runs; with it disabled, nothing may be left to collect
+    h = product_bihypergraph(DimsSpec.of(4, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        call(h)
+        leaked = gc.collect()
+    finally:
+        gc.enable()
+    assert leaked == 0
 
 
 def test_config_validation():
