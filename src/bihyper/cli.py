@@ -246,26 +246,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
                   f"{report.full_source} R(H)={fmt_spectrum(report.full_spectrum)}")
         return EXIT_OK if report.equal else EXIT_VERIFY_FAILED
 
-    # size-bound sweep
+    # size-bound sweep; an empty sweep would verify nothing
+    sweep = list(iter_reduced_dims(args.max_n, args.max_s))
+    if not sweep:
+        raise ValueError(f"no reduced dims with entries<={args.max_n}, s<={args.max_s}")
     _print_claim(name, f"all reduced dims with entries<={args.max_n}, s<={args.max_s}")
     mismatches = []
-    total = 0
-    for d in iter_reduced_dims(args.max_n, args.max_s):
-        total += 1
+    for d in sweep:
         expected = 2 * d.dims[0] + d.dims[1] + d.s - 2
         if len(reduced_vertex_set(d)) != expected:
             mismatches.append(d.dims)
     if args.json:
         print(json.dumps({
             "claim": name,
-            "dims_checked": total,
+            "dims_checked": len(sweep),
             "mismatches": [list(m) for m in mismatches],
             "verified": not mismatches,
         }))
     elif not mismatches:
-        print(f"VERIFIED: {total} dimension vectors, |X*|=2*n1+n2+s-2 in every case")
+        print(f"VERIFIED: {len(sweep)} dimension vectors, |X*|=2*n1+n2+s-2 in every case")
     else:
-        print(f"FAILED: {len(mismatches)} of {total} dims off the bound: {mismatches}")
+        print(f"FAILED: {len(mismatches)} of {len(sweep)} dims off the bound: {mismatches}")
     return EXIT_OK if not mismatches else EXIT_VERIFY_FAILED
 
 

@@ -49,7 +49,9 @@ class SpectrumTarget:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        e = tuple(sorted(((int(n), int(m)) for n, m in self.entries), reverse=True))
+        if any(type(v) is not int for pair in self.entries for v in pair):  # bool is no count
+            raise ValueError(f"counts and multiplicities must be integers, got {self.entries!r}")
+        e = tuple(sorted(((n, m) for n, m in self.entries), reverse=True))
         object.__setattr__(self, "entries", e)
         if len(e) < 2:
             raise ValueError("need at least two distinct class counts")

@@ -70,7 +70,9 @@ class DimsSpec:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        d = tuple(int(v) for v in self.dims)
+        d = tuple(self.dims)
+        if any(type(v) is not int for v in d):  # no truncation; bool is no dimension
+            raise ValueError(f"dimensions must be integers, got {d!r}")
         object.__setattr__(self, "dims", d)
         if len(d) < 2:
             raise ValueError(f"need at least 2 dimensions, got {d!r}")
@@ -229,7 +231,8 @@ class Partition:
         groups: dict[int, list[int]] = {}
         for v, lab in enumerate(labels):
             groups.setdefault(lab, []).append(v)
-        return cls.from_classes(groups.values())
+        # first-occurrence order with ascending members is already canonical
+        return cls(tuple(map(tuple, groups.values())))
 
     @property
     def num_classes(self) -> int:

@@ -3,9 +3,9 @@
 Two independent routes compute the same answers:
 
 * `enumerate_feasible_partitions` / `chromatic_spectrum`: one backtracking
-  loop on an explicit stack (no recursion limit) over restricted-growth color
-  assignments, pruned by each edge's unit rule once its last member is colored
-  (see `_search`), fast enough for the 60-vertex product instances;
+  loop on an explicit stack (`_search`: no recursion limit, unit-rule pruning)
+  emits restricted-growth label strings; the first sorts them and wraps each in
+  a `Partition`, the second only counts them by class number;
 * `brute_force_spectrum`: an unpruned scan of ALL set partitions filtered by
   the public properness predicate, the trusted oracle for small inputs.
 
@@ -60,12 +60,12 @@ class EnumerationConfig:
 
     max_vertices: int = 64
     time_budget: float | None = None
-    collect_partitions: bool = False
+    collect_partitions: bool = False  # no effect; kept for callers that still pass it
 
     def __post_init__(self) -> None:
         if self.max_vertices < 1:
             raise ValueError("max_vertices must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:  # NaN too
             raise ValueError("time_budget must be positive")
 
 
@@ -159,11 +159,16 @@ def enumerate_feasible_partitions(
     Output is in canonical form and sorted by restricted-growth label string,
     so it is identical across runs.
     """
-    cfg = cfg or EnumerationConfig()
-    found: list[Partition] = []
-    _search(h, cfg, lambda labels: found.append(Partition.from_labels(labels)))
-    found.sort(key=Partition.as_labels)
-    return found
+    found: list[tuple[int, ...]] = []
+
+    def emit(labels: list[int]) -> None:
+        # _search opens classes in its degree order; renumber them by vertex order
+        rename: dict[int, int] = {}
+        found.append(tuple(rename.setdefault(lab, len(rename)) for lab in labels))
+
+    _search(h, cfg or EnumerationConfig(), emit)
+    found.sort()
+    return [Partition.from_labels(s) for s in found]
 
 
 def chromatic_spectrum(
@@ -171,20 +176,15 @@ def chromatic_spectrum(
 ) -> ChromaticSpectrum:
     """Count feasible partitions by class count.
 
-    By default the search only streams counts, which keeps memory flat on
-    permissive hypergraphs with huge partition families; `collect_partitions`
-    builds and sorts every partition first, as `enumerate_feasible_partitions`.
+    The search streams counts and keeps no partition, so memory stays flat on
+    permissive hypergraphs with huge partition families.
     """
-    cfg = cfg or EnumerationConfig()
-    if cfg.collect_partitions:
-        by_k = Counter(p.num_classes for p in enumerate_feasible_partitions(h, cfg))
-    else:
-        by_k = Counter()
+    by_k: Counter[int] = Counter()
 
-        def count(labels: list[int]) -> None:
-            by_k[len(set(labels))] += 1
+    def count(labels: list[int]) -> None:
+        by_k[len(set(labels))] += 1
 
-        _search(h, cfg, count)
+    _search(h, cfg or EnumerationConfig(), count)
     return ChromaticSpectrum.from_class_counts(by_k)
 
 

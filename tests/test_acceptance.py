@@ -50,7 +50,7 @@ def criterion(num: int, description: str, budget: float | None = None):
 
 
 def spectrum_of(dims, **cfg_kwargs):
-    cfg = EnumerationConfig(collect_partitions=False, **cfg_kwargs)
+    cfg = EnumerationConfig(**cfg_kwargs)
     return chromatic_spectrum(product_bihypergraph(DimsSpec(dims)), cfg)
 
 
@@ -198,7 +198,7 @@ def test_criterion_9_structural_properties():
 
         for n in range(1, 9):
             edgeless = make_mixed_hypergraph([(i + 1,) for i in range(n)], [], [])
-            sp = chromatic_spectrum(edgeless, EnumerationConfig(collect_partitions=False))
+            sp = chromatic_spectrum(edgeless)
             assert sp.counts == tuple(stirling2(n, k) for k in range(1, n + 1))
 
         for h in (instances[1], instances[4], instances[6]):

@@ -181,6 +181,19 @@ def test_verify_size_bound(capsys):
     assert "91 dimension vectors" in stdout
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--max-n", "3"), ("--max-s", "1", "--json")],
+    ids=["max-n-3", "max-s-1-json"],
+)
+def test_verify_size_bound_empty_sweep_is_input_error(capsys, flags):
+    # no reduced dims fit these bounds; verifying nothing must not report VERIFIED
+    code, stdout, stderr = invoke(capsys, "verify", "size-bound", *flags)
+    assert code == 2
+    assert "error:" in stderr
+    assert "VERIFIED" not in stdout and "verified" not in stdout
+
+
 def test_verify_prints_instance_parameters(capsys):
     _, stdout, _ = invoke(capsys, "verify", "lemma31", "5", "4")
     assert "verify lemma31: dims=(5, 4)" in stdout
@@ -274,6 +287,15 @@ def test_time_budget_abort_exit_code(tmp_path, capsys):
     code, _, stderr = invoke(capsys, "spectrum", str(path), "--time-budget", "0.001")
     assert code == 3
     assert "aborted" in stderr
+
+
+def test_nan_time_budget_is_input_error(tmp_path, capsys):
+    # NaN compares false with everything, so it would never trip the deadline
+    path = tmp_path / "h33.json"
+    save_hypergraph(product_bihypergraph(DimsSpec.of(3, 3)), path)
+    code, _, stderr = invoke(capsys, "spectrum", str(path), "--time-budget", "nan")
+    assert code == 2
+    assert "error:" in stderr
 
 
 def test_feasible_on_uncolorable_file(tmp_path, capsys):

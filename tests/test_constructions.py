@@ -148,6 +148,9 @@ def test_spectrum_target_sorts_entries():
         [(4, 1), (4, 2)],  # explicit duplicate counts
         {4: 1, 2: 1},  # class count below 3
         {4: 0, 3: 1},  # multiplicity below 1
+        {4.7: 1, 3: 1},  # float class count, not truncated to 4
+        {4: 1.5, 3: 1},  # float multiplicity
+        {4: True, 3: 1},  # bool multiplicity
     ],
 )
 def test_spectrum_target_invariants(pairs):

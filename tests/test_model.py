@@ -108,6 +108,10 @@ def test_dims_validation():
         DimsSpec.of(4, 2)
     with pytest.raises(ValueError):
         DimsSpec.of(3, 4)
+    # non-int entries are refused, not truncated to a different instance
+    for bad in [(4.7, 3.2), (4.0, 3), (4, True), ("4", 3)]:
+        with pytest.raises(ValueError):
+            DimsSpec(bad)
     d = DimsSpec.of(4, 3, 3)
     assert d.s == 3 and d.vertex_count == 36
 

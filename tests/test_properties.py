@@ -62,9 +62,11 @@ def test_every_emitted_partition_is_proper(h):
 def test_partition_canonical_under_relabeling(labels, rng):
     renaming = list(range(6))
     rng.shuffle(renaming)
-    assert Partition.from_labels(labels) == Partition.from_labels(
-        [renaming[lab] for lab in labels]
-    )
+    p = Partition.from_labels(labels)
+    assert p == Partition.from_labels([renaming[lab] for lab in labels])
+    # the validating constructor is the oracle for the direct one
+    groups = [[v for v, lab in enumerate(labels) if lab == c] for c in set(labels)]
+    assert p == Partition.from_classes(groups)
 
 
 @settings(max_examples=20, deadline=None)

@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from conftest import oracle_spectrum, random_mixed_hypergraph, stirling2
@@ -88,9 +89,16 @@ def test_emitted_partitions_revalidate():
 
 
 def test_output_sorted_by_label_string():
-    found = enumerate_feasible_partitions(edgeless(4))
-    labels = [p.as_labels() for p in found]
-    assert labels == sorted(labels)
+    for h in (
+        edgeless(4),
+        product_bihypergraph(DimsSpec.of(4, 3, 3)),
+        # seeded mixed instances on 8 vertices with 2,549 and 1,992 partitions
+        random_mixed_hypergraph(random.Random(9), max_edges=6),
+        random_mixed_hypergraph(random.Random(12), max_edges=6),
+    ):
+        labels = [p.as_labels() for p in enumerate_feasible_partitions(h)]
+        assert labels == sorted(labels)
+        assert len(set(labels)) == len(labels)
 
 
 def test_enumeration_vertex_cap():
@@ -101,7 +109,7 @@ def test_enumeration_vertex_cap():
 
 
 def test_time_budget_aborts_with_stats():
-    cfg = EnumerationConfig(time_budget=0.05, collect_partitions=False)
+    cfg = EnumerationConfig(time_budget=0.05)
     with pytest.raises(CapExceeded) as err:
         chromatic_spectrum(edgeless(18), cfg)
     assert "nodes" in err.value.stats
@@ -144,6 +152,8 @@ def test_config_validation():
         EnumerationConfig(max_vertices=0)
     with pytest.raises(ValueError):
         EnumerationConfig(time_budget=0)
+    with pytest.raises(ValueError):
+        EnumerationConfig(time_budget=float("nan"))  # would never trip the deadline
 
 
 # --- spectra ----------------------------------------------------------------------
@@ -180,15 +190,17 @@ def test_edgeless_feasible_set_is_everything():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_edgeless_spectrum_is_stirling_row(n):
-    cfg = EnumerationConfig(collect_partitions=False)
-    sp = chromatic_spectrum(edgeless(n), cfg)
+    sp = chromatic_spectrum(edgeless(n))
     assert sp.counts == tuple(stirling2(n, k) for k in range(1, n + 1))
 
 
 def test_count_only_mode_matches_collected():
-    h = product_bihypergraph(DimsSpec.of(4, 3))
-    assert chromatic_spectrum(h, EnumerationConfig(collect_partitions=False)) == \
-        chromatic_spectrum(h, EnumerationConfig(collect_partitions=True))
+    for h in (
+        product_bihypergraph(DimsSpec.of(4, 3)),
+        random_mixed_hypergraph(random.Random(27)),  # 8 vertices, 399 partitions
+    ):
+        collected = Counter(p.num_classes for p in enumerate_feasible_partitions(h))
+        assert chromatic_spectrum(h) == ChromaticSpectrum.from_class_counts(collected)
 
 
 # --- brute-force oracle --------------------------------------------------------------
