@@ -1,86 +1,11 @@
 """Exact coloring toolkit for mixed hypergraphs and 3-uniform bi-hypergraph families."""
 
-from .constructions import (
-    SpectrumTarget,
-    box_vertices,
-    canonical_coloring,
-    iter_reduced_dims,
-    product_bihypergraph,
-    reduced_bihypergraph,
-    reduced_vertex_set,
-    spectrum_instance,
-    triple_is_biedge,
-)
-from .isomorphism import check_isomorphism, is_isomorphic
-from .model import (
-    CapExceeded,
-    ChromaticSpectrum,
-    DimsSpec,
-    MixedHypergraph,
-    Partition,
-    UncolorableError,
-    Vertex,
-    derived_subhypergraph,
-    from_json_dict,
-    is_proper_coloring,
-    is_strict_k_coloring,
-    load_hypergraph,
-    make_mixed_hypergraph,
-    save_hypergraph,
-    to_json_dict,
-)
-from .solver import (
-    EnumerationConfig,
-    MaximalityReport,
-    ReducedEquivalenceReport,
-    brute_force_spectrum,
-    chromatic_numbers,
-    chromatic_spectrum,
-    enumerate_feasible_partitions,
-    feasible_set,
-    predicted_spectrum,
-    verify_edge_maximality,
-    verify_reduced_equivalence,
-)
+# each module's __all__ is its public surface; the package re-exports all four
+from . import constructions, isomorphism, model, solver
+from .constructions import *
+from .isomorphism import *
+from .model import *
+from .solver import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CapExceeded",
-    "ChromaticSpectrum",
-    "DimsSpec",
-    "EnumerationConfig",
-    "MaximalityReport",
-    "MixedHypergraph",
-    "Partition",
-    "ReducedEquivalenceReport",
-    "SpectrumTarget",
-    "UncolorableError",
-    "Vertex",
-    "box_vertices",
-    "brute_force_spectrum",
-    "canonical_coloring",
-    "check_isomorphism",
-    "chromatic_numbers",
-    "chromatic_spectrum",
-    "derived_subhypergraph",
-    "enumerate_feasible_partitions",
-    "feasible_set",
-    "from_json_dict",
-    "is_isomorphic",
-    "is_proper_coloring",
-    "is_strict_k_coloring",
-    "iter_reduced_dims",
-    "load_hypergraph",
-    "make_mixed_hypergraph",
-    "predicted_spectrum",
-    "product_bihypergraph",
-    "reduced_bihypergraph",
-    "reduced_vertex_set",
-    "save_hypergraph",
-    "spectrum_instance",
-    "to_json_dict",
-    "triple_is_biedge",
-    "verify_edge_maximality",
-    "verify_reduced_equivalence",
-]
+__all__ = constructions.__all__ + isomorphism.__all__ + model.__all__ + solver.__all__

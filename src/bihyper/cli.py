@@ -63,9 +63,7 @@ def fmt_set(values) -> str:
     return "{" + ",".join(str(v) for v in sorted(values)) + "}"
 
 
-def _parse_dims(values: Sequence[int], min_count: int = 2) -> DimsSpec:
-    if len(values) < min_count:
-        raise ValueError(f"need at least {min_count} dimensions, got {list(values)}")
+def _parse_dims(values: Sequence[int]) -> DimsSpec:
     ordered = tuple(sorted(values, reverse=True))
     if tuple(values) != ordered:
         print(f"warning: dims reordered to {ordered}", file=sys.stderr)
@@ -153,25 +151,29 @@ def _print_claim(name: str, instance: str) -> None:
     print(f"verify {name}: {instance}; claim: {CLAIMS[name]}")
 
 
+def _verdict(args: argparse.Namespace, verified: bool, report: dict, line: str) -> int:
+    """Print a verify claim's outcome, the JSON report or the human line."""
+    print(json.dumps(report) if args.json else line)
+    return EXIT_OK if verified else EXIT_VERIFY_FAILED
+
+
 def _verify_spectrum_claim(name: str, d: DimsSpec, args: argparse.Namespace) -> int:
     """Shared body for the spectrum-equality claims on the product family."""
     expected = predicted_spectrum(d)
     _print_claim(name, f"dims={d.dims}")
     actual = chromatic_spectrum(product_bihypergraph(d), _config(args, VERIFY_DEFAULT_MAX_VERTICES))
     verified = actual == expected
-    if args.json:
-        print(json.dumps({
-            "claim": name,
-            "dims": list(d.dims),
-            "expected": expected.as_report()["spectrum"],
-            "actual": actual.as_report()["spectrum"],
-            "verified": verified,
-        }))
-    elif verified:
-        print(f"VERIFIED: R(H)={fmt_spectrum(actual)}, Phi={fmt_set(actual.feasible_set)}")
+    if verified:
+        line = f"VERIFIED: R(H)={fmt_spectrum(actual)}, Phi={fmt_set(actual.feasible_set)}"
     else:
-        print(f"FAILED: R(H)={fmt_spectrum(actual)}, expected {fmt_spectrum(expected)}")
-    return EXIT_OK if verified else EXIT_VERIFY_FAILED
+        line = f"FAILED: R(H)={fmt_spectrum(actual)}, expected {fmt_spectrum(expected)}"
+    return _verdict(args, verified, {
+        "claim": name,
+        "dims": list(d.dims),
+        "expected": expected.as_report()["spectrum"],
+        "actual": actual.as_report()["spectrum"],
+        "verified": verified,
+    }, line)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -201,21 +203,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = verify_edge_maximality(
             d, _config(args, VERIFY_DEFAULT_MAX_VERTICES), mode=args.mode
         )
-        if args.json:
-            print(json.dumps({
-                "claim": name,
-                "dims": list(d.dims),
-                "mode": report.mode,
-                "tested_triples": report.tested_triples,
-                "failures": [list(f) for f in report.failures],
-                "verified": report.ok,
-            }))
-        elif report.ok:
-            print(f"VERIFIED: {report.tested_triples} non-edges tested, 0 failures")
+        if report.ok:
+            line = f"VERIFIED: {report.tested_triples} non-edges tested, 0 failures"
         else:
-            print(f"FAILED: {len(report.failures)} of {report.tested_triples} "
-                  f"non-edges left the spectrum unchanged")
-        return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+            line = (f"FAILED: {len(report.failures)} of {report.tested_triples} "
+                    f"non-edges left the spectrum unchanged")
+        return _verdict(args, report.ok, {
+            "claim": name,
+            "dims": list(d.dims),
+            "mode": report.mode,
+            "tested_triples": report.tested_triples,
+            "failures": [list(f) for f in report.failures],
+            "verified": report.ok,
+        }, line)
 
     if name in ("lemma31", "thm32"):
         d = _parse_dims(args.dims)
@@ -225,26 +225,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = verify_reduced_equivalence(d, _config(args, VERIFY_DEFAULT_MAX_VERTICES))
         if report.note:
             print(f"note: {report.note}", file=sys.stderr)
-        if args.json:
-            print(json.dumps({
-                "claim": name,
-                "dims": list(d.dims),
-                "verified": report.equal,
-                "reduced_spectrum": report.reduced_spectrum.as_report()["spectrum"],
-                "full_spectrum": report.full_spectrum.as_report()["spectrum"],
-                "full_source": report.full_source,
-                "reduced_size": report.reduced_size,
-            }))
-        elif report.equal and report.full_source == "enumerated":
-            print(f"VERIFIED: R(H*)=R(H)={fmt_spectrum(report.reduced_spectrum)}, "
-                  f"|X*|={report.reduced_size}")
+        reduced = fmt_spectrum(report.reduced_spectrum)
+        if report.equal and report.full_source == "enumerated":
+            line = f"VERIFIED: R(H*)=R(H)={reduced}, |X*|={report.reduced_size}"
         elif report.equal:
-            print(f"VERIFIED: R(H*)={fmt_spectrum(report.reduced_spectrum)} matches "
-                  f"predicted R(H) (full side beyond cap), |X*|={report.reduced_size}")
+            line = (f"VERIFIED: R(H*)={reduced} matches predicted R(H) "
+                    f"(full side beyond cap), |X*|={report.reduced_size}")
         else:
-            print(f"FAILED: R(H*)={fmt_spectrum(report.reduced_spectrum)} differs from "
-                  f"{report.full_source} R(H)={fmt_spectrum(report.full_spectrum)}")
-        return EXIT_OK if report.equal else EXIT_VERIFY_FAILED
+            line = (f"FAILED: R(H*)={reduced} differs from "
+                    f"{report.full_source} R(H)={fmt_spectrum(report.full_spectrum)}")
+        return _verdict(args, report.equal, {
+            "claim": name,
+            "dims": list(d.dims),
+            "verified": report.equal,
+            "reduced_spectrum": report.reduced_spectrum.as_report()["spectrum"],
+            "full_spectrum": report.full_spectrum.as_report()["spectrum"],
+            "full_source": report.full_source,
+            "reduced_size": report.reduced_size,
+        }, line)
 
     # size-bound sweep; an empty sweep would verify nothing
     sweep = list(iter_reduced_dims(args.max_n, args.max_s))
@@ -256,18 +254,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         expected = 2 * d.dims[0] + d.dims[1] + d.s - 2
         if len(reduced_vertex_set(d)) != expected:
             mismatches.append(d.dims)
-    if args.json:
-        print(json.dumps({
-            "claim": name,
-            "dims_checked": len(sweep),
-            "mismatches": [list(m) for m in mismatches],
-            "verified": not mismatches,
-        }))
-    elif not mismatches:
-        print(f"VERIFIED: {len(sweep)} dimension vectors, |X*|=2*n1+n2+s-2 in every case")
+    if mismatches:
+        line = f"FAILED: {len(mismatches)} of {len(sweep)} dims off the bound: {mismatches}"
     else:
-        print(f"FAILED: {len(mismatches)} of {len(sweep)} dims off the bound: {mismatches}")
-    return EXIT_OK if not mismatches else EXIT_VERIFY_FAILED
+        line = f"VERIFIED: {len(sweep)} dimension vectors, |X*|=2*n1+n2+s-2 in every case"
+    return _verdict(args, not mismatches, {
+        "claim": name,
+        "dims_checked": len(sweep),
+        "mismatches": [list(m) for m in mismatches],
+        "verified": not mismatches,
+    }, line)
 
 
 def cmd_export(args: argparse.Namespace) -> int:

@@ -141,9 +141,9 @@ class MixedHypergraph:
     def with_bi_edge(self, edge: Iterable[int]) -> "MixedHypergraph":
         """Return a copy with `edge` added to both families."""
         e = tuple(edge)
-        c_edges = self.c_edges + (e,)
-        d_edges = c_edges if self.is_bihypergraph else self.d_edges + (e,)
-        return make_mixed_hypergraph(self.vertices, c_edges, d_edges, dims=self.dims)
+        return make_mixed_hypergraph(
+            self.vertices, self.c_edges + (e,), self.d_edges + (e,), dims=self.dims
+        )
 
 
 def _canonical_edges(edges: Iterable[Iterable[int]], n: int, family: str) -> tuple[Edge, ...]:
@@ -170,33 +170,38 @@ def make_mixed_hypergraph(
     """Validate and canonicalize a mixed hypergraph.
 
     Raises ValueError for an empty vertex set, ragged or duplicated coordinate
-    tuples, edge indices that are out of range or not ints, edges with repeated
-    vertices, or edges of size < 2. Duplicate edges within a family are
-    silently merged.
+    tuples, coordinates or `dims` entries that are not positive ints, edge
+    indices that are out of range or not ints, edges with repeated vertices,
+    or edges of size < 2. Nothing is coerced: `1.7` and `True` are refused.
+    Duplicate edges within a family are silently merged.
     """
-    verts = tuple(tuple(int(c) for c in v) for v in vertices)
+    verts = tuple(map(tuple, vertices))
     if not verts:
         raise ValueError("vertex set must be non-empty")
     width = len(verts[0])
     if width < 1 or any(len(v) != width for v in verts):
         raise ValueError("all vertices must have coordinate tuples of equal length >= 1")
-    if any(c < 1 for v in verts for c in v):
+    if not all(type(c) is int and c >= 1 for v in verts for c in v):  # bool is no coordinate
         raise ValueError("coordinates must be positive integers")
     if len(set(verts)) != len(verts):
         raise ValueError("duplicate vertex coordinates")
-    box = tuple(int(x) for x in dims) if dims is not None else None
+    box = tuple(dims) if dims is not None else None
     if box is not None:
+        if not all(type(m) is int and m >= 1 for m in box):
+            raise ValueError("dims must be positive integers")
         if len(box) != width:
             raise ValueError(f"dims {box} incompatible with coordinate width {width}")
         for v in verts:
             if any(not 1 <= c <= m for c, m in zip(v, box)):
                 raise ValueError(f"vertex {v} outside the box {box}")
-    # a bi-hypergraph keeps one edge tuple for both families; passing the same
-    # object for both also skips the second canonicalization
+    # a bi-hypergraph keeps one edge tuple for both families; equal input
+    # families are also canonicalized only once
     c_canon = _canonical_edges(c_edges, len(verts), "C")
-    d_canon = c_canon if d_edges is c_edges else _canonical_edges(d_edges, len(verts), "D")
-    if d_canon == c_canon:
-        d_canon = c_canon
+    d_canon = c_canon
+    if d_edges is not c_edges and d_edges != c_edges:
+        d_canon = _canonical_edges(d_edges, len(verts), "D")
+        if d_canon == c_canon:
+            d_canon = c_canon
     return MixedHypergraph(vertices=verts, c_edges=c_canon, d_edges=d_canon, dims=box)
 
 
@@ -215,13 +220,15 @@ class Partition:
         norm = []
         seen: set[int] = set()
         for c in classes:
-            members = tuple(sorted(int(v) for v in c))
+            members = tuple(c)
             if not members:
                 raise ValueError("empty class in partition")
+            if not all(type(v) is int for v in members):  # bool is no vertex index
+                raise ValueError("partition members must be integers")
             if seen & set(members):
                 raise ValueError("classes are not disjoint")
             seen.update(members)
-            norm.append(members)
+            norm.append(tuple(sorted(members)))
         norm.sort(key=lambda c: c[0])
         return cls(tuple(norm))
 
@@ -269,10 +276,10 @@ class ChromaticSpectrum:
     counts: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        c = tuple(int(v) for v in self.counts)
+        c = tuple(self.counts)
         object.__setattr__(self, "counts", c)
-        if any(v < 0 for v in c):
-            raise ValueError("spectrum entries must be non-negative")
+        if not all(type(v) is int and v >= 0 for v in c):  # no truncation, no bools
+            raise ValueError("spectrum entries must be non-negative integers")
         if c and c[-1] == 0:
             raise ValueError("spectrum must not end in a zero entry (use from_counts)")
 
@@ -360,12 +367,12 @@ def derived_subhypergraph(h: MixedHypergraph, subset: Iterable[int]) -> MixedHyp
     Vertices are reindexed densely in ascending original-index order; their
     coordinate tuples (and any box metadata) are retained.
     """
-    keep = sorted(set(int(v) for v in subset))
-    for v in keep:
-        if not 0 <= v < h.n:
-            raise ValueError(f"vertex index {v} out of range")
+    member = set(subset)
+    for v in member:
+        if type(v) is not int or not 0 <= v < h.n:  # bool is no vertex index
+            raise ValueError(f"invalid vertex index {v!r} for {h.n} vertices")
+    keep = sorted(member)
     remap = {old: new for new, old in enumerate(keep)}
-    member = set(keep)
 
     def filtered(edges: tuple[Edge, ...]) -> list[Edge]:
         return [tuple(remap[v] for v in e) for e in edges if member.issuperset(e)]
@@ -403,22 +410,17 @@ def _json_lists(data: Mapping, key: str) -> list:
 
 
 def from_json_dict(data: Mapping) -> MixedHypergraph:
-    """Check the JSON shapes, then build; edge indices are checked when the
-    edges are canonicalized, and equal C and D lists are canonicalized once."""
+    """Check the JSON shapes, then build; `make_mixed_hypergraph` checks the
+    coordinate, dims and index values."""
     if not isinstance(data, Mapping):
         raise ValueError("hypergraph JSON must be an object")
     vertices = _json_lists(data, "vertices")
     c_edges = _json_lists(data, "c_edges")
     d_edges = _json_lists(data, "d_edges")
-    # exact type checks: bool is an int subclass, and JSON true/false are not numbers here
-    if not all(type(c) is int for v in vertices for c in v):
-        raise ValueError("hypergraph JSON vertex coordinates must be integers")
     dims = data.get("dims")
-    if dims is not None and not (isinstance(dims, list) and all(type(x) is int for x in dims)):
-        raise ValueError("hypergraph JSON key 'dims' must be null or a list of integers")
-    return make_mixed_hypergraph(
-        vertices, c_edges, c_edges if d_edges == c_edges else d_edges, dims=dims
-    )
+    if dims is not None and not isinstance(dims, list):
+        raise ValueError("hypergraph JSON key 'dims' must be null or a list")
+    return make_mixed_hypergraph(vertices, c_edges, d_edges, dims=dims)
 
 
 def save_hypergraph(h: MixedHypergraph, path: str | Path) -> None:
@@ -428,7 +430,7 @@ def save_hypergraph(h: MixedHypergraph, path: str | Path) -> None:
 def load_hypergraph(path: str | Path) -> MixedHypergraph:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # too deeply nested
         raise ValueError(f"invalid hypergraph JSON in {path}: {err}") from None
     return from_json_dict(data)
 

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX_VERTICES = 12
+# about 0.6 GB of partitions at the ~0.6 KB each measured on edgeless 10
+MAX_COLLECTED_PARTITIONS = 1_000_000
 _TIME_CHECK_MASK = 0xFFF  # poll the clock every 4096 search nodes
 
 
@@ -157,14 +159,22 @@ def enumerate_feasible_partitions(
     """All partitions of the vertex set that properly color the hypergraph.
 
     Output is in canonical form and sorted by restricted-growth label string,
-    so it is identical across runs.
+    so it is identical across runs. More than `MAX_COLLECTED_PARTITIONS`
+    partitions raise `CapExceeded`; `chromatic_spectrum` keeps none and has no
+    such cap.
     """
     found: list[tuple[int, ...]] = []
+    cap = MAX_COLLECTED_PARTITIONS
 
     def emit(labels: list[int]) -> None:
         # _search opens classes in its degree order; renumber them by vertex order
         rename: dict[int, int] = {}
         found.append(tuple(rename.setdefault(lab, len(rename)) for lab in labels))
+        if len(found) > cap:
+            raise CapExceeded(
+                f"more than {cap} feasible partitions to collect",
+                stats={"found": len(found), "max_partitions": cap},
+            )
 
     _search(h, cfg or EnumerationConfig(), emit)
     found.sort()

@@ -233,6 +233,15 @@ def test_malformed_json_is_input_error(tmp_path, capsys, body):
     assert "error:" in stderr and "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("command", ["spectrum", "export"])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)  # past json's recursion limit
+    code, _, stderr = invoke(capsys, command, str(path))
+    assert code == 2
+    assert "error:" in stderr and "Traceback" not in stderr
+
+
 def test_parallel_flag_is_usage_error(capsys):
     code, _, stderr = invoke(capsys, "spectrum", "h.json", "--parallel", "2")
     assert code == 2

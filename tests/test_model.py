@@ -10,6 +10,8 @@ from conftest import (
     oracle_scan_edges,
 )
 
+import bihyper
+from bihyper import constructions, isomorphism, model, solver
 from bihyper import (
     ChromaticSpectrum,
     DimsSpec,
@@ -96,6 +98,17 @@ def test_bad_vertices_rejected():
         make_mixed_hypergraph([(1, 4)], [], [], dims=(3, 3))
     with pytest.raises(ValueError):
         make_mixed_hypergraph([(1, 1)], [], [], dims=(3,))
+    # coordinates and dims are refused, not truncated to a different instance
+    for verts, dims in [
+        ([(1.7,)], None),
+        ([(1,), (2.0,)], None),
+        ([(True,), (2,)], None),
+        ([(1,)], [2.9]),
+        ([(1,)], (True,)),
+        ([(1,)], ("3",)),
+    ]:
+        with pytest.raises(ValueError):
+            make_mixed_hypergraph(verts, [], [], dims=dims)
 
 
 # --- DimsSpec ----------------------------------------------------------------
@@ -187,6 +200,9 @@ def test_partition_rejects_bad_classes():
         Partition.from_classes([[0, 1], []])
     with pytest.raises(ValueError):
         Partition.from_classes([[0, 1], [1, 2]])
+    for bad in ([[0.9, 1], [2]], [[True], [2]], [["0"], [1]]):
+        with pytest.raises(ValueError):
+            Partition.from_classes(bad)
 
 
 def test_partition_labels_roundtrip():
@@ -230,8 +246,9 @@ def test_derived_matches_direct_filter():
 
 
 def test_derived_invalid_index():
-    with pytest.raises(ValueError):
-        derived_subhypergraph(H33, [0, 9])
+    for bad in ([0, 9], [0.5, 1.9, 2], [False, 1], ["0", 1]):
+        with pytest.raises(ValueError):
+            derived_subhypergraph(H33, bad)
 
 
 # --- ChromaticSpectrum ----------------------------------------------------------
@@ -253,6 +270,9 @@ def test_spectrum_invariants():
         ChromaticSpectrum((-1,))
     with pytest.raises(ValueError):
         ChromaticSpectrum((1,)).r(0)
+    for bad in [(1.5, 2.7), (1.0,), (True,), ("1",)]:
+        with pytest.raises(ValueError):
+            ChromaticSpectrum(bad)
 
 
 def test_empty_spectrum():
@@ -335,3 +355,14 @@ def test_proper_coloring_agrees_with_label_oracle():
     for labels in oracle_partition_labels(6):
         expected = oracle_proper(labels, sub.c_edges, sub.d_edges)
         assert is_proper_coloring(sub, Partition.from_labels(labels)) == expected
+
+
+# --- public names -----------------------------------------------------------------
+
+
+def test_package_exports_every_module_name_once():
+    pairs = [(m, name) for m in (constructions, isomorphism, model, solver) for name in m.__all__]
+    assert len(bihyper.__all__) == len(set(bihyper.__all__))
+    assert sorted(bihyper.__all__) == sorted(name for _, name in pairs)
+    for module, name in pairs:
+        assert getattr(bihyper, name) is getattr(module, name)

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 from conftest import oracle_spectrum, random_mixed_hypergraph, stirling2
 
+from bihyper import solver
 from bihyper import (
     CapExceeded,
     ChromaticSpectrum,
@@ -106,6 +107,15 @@ def test_enumeration_vertex_cap():
         enumerate_feasible_partitions(edgeless(10), EnumerationConfig(max_vertices=9))
     with pytest.raises(CapExceeded):
         enumerate_feasible_partitions(edgeless(65))
+
+
+def test_collected_partition_cap(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_COLLECTED_PARTITIONS", 100)
+    assert len(enumerate_feasible_partitions(edgeless(5))) == 52
+    with pytest.raises(CapExceeded) as err:
+        enumerate_feasible_partitions(edgeless(6))  # 203 partitions
+    assert err.value.stats == {"found": 101, "max_partitions": 100}
+    assert chromatic_spectrum(edgeless(6)).total_partitions == 203  # counting keeps none
 
 
 def test_time_budget_aborts_with_stats():
