@@ -1,17 +1,21 @@
 """Property-based checks: the pruned solver against brute force, and friends."""
 
 import random
+from collections import Counter
 
 from conftest import (
     oracle_scan_edges,
     random_mixed_hypergraph,
     witness_is_isomorphism,
 )
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from reference_search import reference_partitions, reference_spectrum
 
 from bihyper import (
+    CapExceeded,
     DimsSpec,
+    EnumerationConfig,
     Partition,
     brute_force_spectrum,
     chromatic_spectrum,
@@ -41,6 +45,54 @@ def mixed_hypergraphs(draw, max_vertices=9, max_edges=20):
     c_edges = [e for e, (in_c, _) in zip(pool, flags) if in_c]
     d_edges = [e for e, (_, in_d) in zip(pool, flags) if in_d]
     return make_mixed_hypergraph(vertices, c_edges, d_edges)
+
+
+@st.composite
+def planted_mixed_hypergraphs(draw, min_vertices=13, max_vertices=40):
+    """Mixed hypergraphs dense enough to have few partitions, often a handful.
+
+    A hidden labeling with 2-6 classes decides which families may hold each
+    random 2-4 element edge (C only if it repeats a class, D only if it is not
+    monochromatic), so the labeling stays feasible. Purely random edges at
+    these sizes give either no partition or millions of them.
+    """
+    n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
+    k = draw(st.integers(min_value=2, max_value=6))
+    per_vertex = draw(st.integers(min_value=4, max_value=12))
+    # one seed, not hypothesis' randoms(): hundreds of edges would each be a draw
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    plant = [rng.randrange(k) for _ in range(n)]
+    c_edges, d_edges = [], []
+    for _ in range(per_vertex * n):
+        e = rng.sample(range(n), rng.randint(2, 4))
+        classes = len({plant[v] for v in e})
+        if classes < len(e) and rng.random() < 0.7:
+            c_edges.append(e)
+        if classes > 1 and rng.random() < 0.7:
+            d_edges.append(e)
+    return make_mixed_hypergraph([(i + 1,) for i in range(n)], c_edges, d_edges)
+
+
+def test_solver_matches_reference_search_beyond_brute_force():
+    # the static-order search explores far more nodes: draws it cannot finish
+    # within the bounds are discarded, and most draws must still be kept
+    tally = Counter()
+    bound = EnumerationConfig(time_budget=0.2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_mixed_hypergraphs())
+    def check(h):
+        tally["drawn"] += 1
+        try:
+            expected = reference_partitions(h, bound, max_partitions=5000)
+        except CapExceeded:
+            reject()
+        tally["kept"] += 1
+        assert enumerate_feasible_partitions(h) == expected
+        assert chromatic_spectrum(h) == reference_spectrum(expected)
+
+    check()
+    assert tally["kept"] >= tally["drawn"] / 2, tally
 
 
 @settings(max_examples=60, deadline=None)
