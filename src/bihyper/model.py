@@ -225,6 +225,8 @@ class Partition:
                 raise ValueError("empty class in partition")
             if not all(type(v) is int for v in members):  # bool is no vertex index
                 raise ValueError("partition members must be integers")
+            if len(set(members)) != len(members):
+                raise ValueError("repeated member in a partition class")
             if seen & set(members):
                 raise ValueError("classes are not disjoint")
             seen.update(members)

@@ -2,10 +2,12 @@
 
 Two independent routes compute the same answers:
 
-* `enumerate_feasible_partitions` / `chromatic_spectrum`: one backtracking
-  loop on an explicit stack (`_search`: no recursion limit, unit-rule pruning)
-  emits restricted-growth label strings; the first sorts them and wraps each in
-  a `Partition`, the second only counts them by class number;
+* `enumerate_feasible_partitions` / `chromatic_spectrum`: one forward-checking
+  backtracking loop on an explicit stack (`_search`: per-edge counts of
+  uncolored members, unit-rule narrowing of the last free member, branching on
+  the fewest allowed classes, no recursion limit) emits restricted-growth label
+  strings; the first sorts them and wraps each in a `Partition`, the second
+  only counts them by class number;
 * `brute_force_spectrum`: an unpruned scan of ALL set partitions filtered by
   the public properness predicate, the trusted oracle for small inputs.
 
@@ -65,30 +67,47 @@ class EnumerationConfig:
     collect_partitions: bool = False  # no effect; kept for callers that still pass it
 
     def __post_init__(self) -> None:
-        if self.max_vertices < 1:
-            raise ValueError("max_vertices must be positive")
-        if self.time_budget is not None and not self.time_budget > 0:  # NaN too
-            raise ValueError("time_budget must be positive")
+        # exact types, as for dims: no truncated 2.5, no bool, no string
+        if type(self.max_vertices) is not int or self.max_vertices < 1:
+            raise ValueError(f"max_vertices must be a positive int, got {self.max_vertices!r}")
+        budget = self.time_budget
+        if budget is not None and (
+            type(budget) is bool or not isinstance(budget, (int, float)) or not budget > 0
+        ):  # `not > 0` refuses NaN too
+            raise ValueError(f"time_budget must be a positive number, got {budget!r}")
 
 
 def _search(
     h: MixedHypergraph, cfg: EnumerationConfig, emit: Callable[[list[int]], None]
 ) -> None:
-    """Depth-first search over restricted-growth assignments, on an explicit stack.
+    """Forward-checking depth-first search over restricted-growth assignments.
 
-    Vertices are assigned in descending degree order (ties by index). Each
-    edge is checked once, at the position of its member assigned last, by a
-    unit rule that narrows the classes open there (the used ones plus one
-    fresh one):
+    Forward checking after Haralick & Elliott (1980), with fewest-choices
+    branching and degree tie-breaks as in Brelaz's DSATUR (1979).
 
-    * C-edge whose other members got pairwise distinct colors: the last vertex
-      must reuse one of them;
-    * D-edge whose other members got one common color: the last vertex must
-      avoid it.
+    Each vertex v carries two class bitmasks: `req[v]`, the classes it must
+    take one of (-1: any), and `forb[v]`, the classes it must avoid. Every
+    edge keeps a count of its uncolored members. Once a colored vertex leaves
+    an edge with one uncolored member w, a unit rule narrows w:
 
-    Fully-colored edge checks are subsumed by these rules. Calls `emit(labels)`
-    once per feasible partition, with `labels` indexed by vertex; the list is
-    reused, so a caller that keeps it must copy it.
+    * C-edge whose colored members have pairwise distinct colors: w must
+      reuse one of them (`req[w] &= their classes`);
+    * D-edge whose colored members share one color: w must avoid it
+      (`forb[w] |= that class`).
+
+    A vertex left with no class prunes the branch (a wipeout). Each narrowing
+    goes on a trail and is undone on backtrack. Every edge thus passes the
+    rules before its last member is colored, so a finished edge needs no
+    check. The search branches on the free vertex with the fewest allowed
+    classes; ties go to the vertex in more edges, then to the lower index, so
+    a contradiction among busy vertices is met before the idle ones are
+    enumerated. A vertex may take a used class or the one fresh class
+    `used`, so the labels are restricted-growth strings in branching order
+    and each partition is visited once.
+
+    Calls `emit(labels)` once per feasible partition, with `labels` indexed by
+    vertex; the list is reused, so a caller that keeps it must copy it. Runs
+    on an explicit stack, so depth has no recursion limit.
     """
     if h.n > cfg.max_vertices:
         raise CapExceeded(
@@ -96,61 +115,123 @@ def _search(
             stats={"vertices": h.n, "max_vertices": cfg.max_vertices},
         )
     n = h.n
-    degree = [0] * n
-    for e in h.c_edges + h.d_edges:
-        for v in e:
-            degree[v] += 1
-    order = sorted(range(n), key=lambda v: (-degree[v], v))
-    pos = {v: p for p, v in enumerate(order)}
     cset = set(h.c_edges)
     dset = set(h.d_edges)
-    fire: list[list[tuple[tuple[int, ...], bool, bool]]] = [[] for _ in range(n)]
-    for e in sorted(cset | dset):
-        last = max(e, key=pos.__getitem__)
-        fire[pos[last]].append((tuple(v for v in e if v != last), e in cset, e in dset))
+    edges = sorted(cset | dset)
+    in_c = [e in cset for e in edges]
+    in_d = [e in dset for e in edges]
+    left = [len(e) for e in edges]  # uncolored members per edge
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
+        for v in e:
+            incident[v].append(i)
+    # ties go to the vertex in more edges, then to the lower index
+    order = sorted(range(n), key=lambda v: (-len(incident[v]), v))
+    rank = [0] * n
+    for p, v in enumerate(order):
+        rank[v] = p
+    free = [True] * n  # free[p]: order[p] is not yet branched on
     deadline = None
     if cfg.time_budget is not None:
         deadline = time.perf_counter() + cfg.time_budget
     labels = [-1] * n
-    rest = [0] * (n + 1)  # rest[p]: classes position p has yet to try; rest[n] stays 0
-    used = [0] * (n + 1)  # used[p]: classes opened by positions before p
+    req = [-1] * n
+    forb = [0] * n
+    # narrowed: vertices whose masks differ from the start, in the order they
+    # first changed; trail: (vertex, previous req, previous forb) per change
+    narrowed: list[int] = []
+    trail: list[tuple[int, int, int]] = []
+    var = [0] * n  # var[d]: the vertex branched on at depth d
+    mark = [0] * n  # mark[d]: trail length when var[d] was picked
+    rest = [0] * n  # rest[d]: classes var[d] has yet to try, saved on going deeper
+    used = [0] * n  # used[d]: classes opened above depth d
     nodes = found = 0
-    p = 0
+    last = n - 1
+    d = 0
     while True:
-        if p == n:
-            found += 1
-            emit(labels)
-        else:
-            allowed = (1 << (used[p] + 1)) - 1
-            for others, in_c, in_d in fire[p]:
-                got = {labels[u] for u in others}
-                if in_c and len(got) == len(others):
-                    mask = 0
-                    for lab in got:
-                        mask |= 1 << lab
-                    allowed &= mask
-                if in_d and len(got) == 1:
-                    allowed &= ~(1 << next(iter(got)))
-                if not allowed:
-                    break
-            rest[p] = allowed
-        while not rest[p]:
-            if p == 0:
-                return
-            p -= 1
-        low = rest[p] & -rest[p]
-        rest[p] ^= low
-        color = low.bit_length() - 1
-        nodes += 1
-        if deadline is not None and nodes & _TIME_CHECK_MASK == 0:
-            if time.perf_counter() > deadline:
-                raise CapExceeded(
-                    "time budget exceeded during enumeration",
-                    stats={"nodes": nodes, "found": found},
-                )
-        labels[order[p]] = color
-        used[p + 1] = used[p] + 1 if color == used[p] else used[p]
-        p += 1
+        # pick var[d]: an untouched free vertex allows all used[d] + 1
+        # classes and a narrowed one fewer, so only the first free vertex in
+        # `order` and the narrowed vertices compete
+        v = order[free.index(True)]
+        allowed = top = (1 << (used[d] + 1)) - 1
+        if narrowed:
+            size = used[d] + 1
+            for w in narrowed:
+                if labels[w] < 0:
+                    dom = req[w] & ~forb[w] & top
+                    k = dom.bit_count()
+                    if k < size or (k == size and rank[w] < rank[v]):
+                        v, allowed, size = w, dom, k
+        var[d] = v
+        free[rank[v]] = False
+        todo = allowed  # rest[d] while the search is at depth d
+        mark[d] = len(trail)
+        # v stays counted as colored in its edges while it tries its classes
+        for i in incident[v]:
+            left[i] -= 1
+        while True:
+            while not todo:
+                labels[v] = -1
+                free[rank[v]] = True
+                for i in incident[v]:
+                    left[i] += 1
+                if d == 0:
+                    return
+                d -= 1
+                v = var[d]
+                todo = rest[d]
+            # undo what the previous class here, and anything below it, trailed;
+            # `trail and` spares the length call when nothing was ever trailed
+            while trail and len(trail) > mark[d]:
+                w, r, f = trail.pop()
+                req[w] = r
+                forb[w] = f
+                if r == -1 and not f:
+                    narrowed.pop()  # undone in reverse order, so w is the last
+            low = todo & -todo
+            todo ^= low
+            color = low.bit_length() - 1
+            nodes += 1
+            if deadline is not None and nodes & _TIME_CHECK_MASK == 0:
+                if time.perf_counter() > deadline:
+                    raise CapExceeded(
+                        "time budget exceeded during enumeration",
+                        stats={"nodes": nodes, "found": found},
+                    )
+            labels[v] = color
+            for i in incident[v]:
+                if left[i] != 1:
+                    continue
+                w = -1
+                seen = 0
+                distinct = True
+                for u in edges[i]:
+                    lab = labels[u]
+                    if lab < 0:
+                        w = u
+                    elif seen >> lab & 1:
+                        distinct = False
+                    else:
+                        seen |= 1 << lab
+                r = req[w] & seen if in_c[i] and distinct else req[w]
+                f = forb[w] | seen if in_d[i] and not seen & (seen - 1) else forb[w]
+                if r == req[w] and f == forb[w]:
+                    continue
+                if req[w] == -1 and not forb[w]:
+                    narrowed.append(w)
+                trail.append((w, req[w], forb[w]))
+                req[w] = r
+                forb[w] = f
+                if not r & ~f:
+                    break  # wipeout: try the next class
+            else:
+                if d < last:
+                    rest[d] = todo
+                    used[d + 1] = used[d] + 1 if color == used[d] else used[d]
+                    d += 1
+                    break  # pick the next vertex
+                found += 1
+                emit(labels)
 
 
 def enumerate_feasible_partitions(
@@ -167,7 +248,7 @@ def enumerate_feasible_partitions(
     cap = MAX_COLLECTED_PARTITIONS
 
     def emit(labels: list[int]) -> None:
-        # _search opens classes in its degree order; renumber them by vertex order
+        # _search opens classes in its branching order; renumber them by vertex order
         rename: dict[int, int] = {}
         found.append(tuple(rename.setdefault(lab, len(rename)) for lab in labels))
         if len(found) > cap:

@@ -200,7 +200,8 @@ def test_partition_rejects_bad_classes():
         Partition.from_classes([[0, 1], []])
     with pytest.raises(ValueError):
         Partition.from_classes([[0, 1], [1, 2]])
-    for bad in ([[0.9, 1], [2]], [[True], [2]], [["0"], [1]]):
+    # a repeated member would compare unequal to the same partition from labels
+    for bad in ([[0.9, 1], [2]], [[True], [2]], [["0"], [1]], [[0, 0, 1], [2]]):
         with pytest.raises(ValueError):
             Partition.from_classes(bad)
 

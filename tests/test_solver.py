@@ -70,12 +70,20 @@ def test_duplicate_dims_collapse_axis_partitions():
     assert set(found) == {canonical_coloring(d, 1), canonical_coloring(d, 2)}
 
 
-@pytest.mark.parametrize("dims", [(3, 3), (4, 3), (4, 4), (5, 4), (3, 3, 3), (4, 3, 3)])
+@pytest.mark.parametrize(
+    "dims",
+    [(3, 3), (4, 3), (4, 4), (5, 4), (3, 3, 3), (4, 3, 3), (4, 4, 3), (5, 5, 4), (6, 5, 4)],
+)
 def test_products_enumerate_to_exactly_the_axis_partitions(dims):
+    # 48, 100 and 120 vertices: beyond the default cap of 64 the cap is raised
     d = DimsSpec(dims)
-    found = enumerate_feasible_partitions(product_bihypergraph(d))
+    h = product_bihypergraph(d)
+    cfg = EnumerationConfig(max_vertices=max(64, h.n))
+    found = enumerate_feasible_partitions(h, cfg)
     expected = {canonical_coloring(d, axis) for axis in range(1, d.s + 1)}
     assert set(found) == expected
+    # r_n is the number of times n occurs in dims
+    assert chromatic_spectrum(h, cfg) == ChromaticSpectrum.from_class_counts(Counter(dims))
 
 
 def test_emitted_partitions_revalidate():
@@ -134,6 +142,14 @@ def test_deep_instance_has_no_recursion_limit():
     assert sp.counts == (1,)
 
 
+def test_ties_go_to_vertices_in_more_edges():
+    # 13 free vertices, then a 2-element bi-edge no coloring satisfies; taking
+    # ties by lowest index alone would first enumerate all Bell(13) = 27.6
+    # million partitions of the free vertices
+    h = make_mixed_hypergraph([(i + 1,) for i in range(15)], [(13, 14)], [(13, 14)])
+    assert chromatic_spectrum(h, EnumerationConfig(time_budget=5.0)).is_empty
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -164,6 +180,14 @@ def test_config_validation():
         EnumerationConfig(time_budget=0)
     with pytest.raises(ValueError):
         EnumerationConfig(time_budget=float("nan"))  # would never trip the deadline
+    # exact types: no truncated float, no bool, and ValueError (not TypeError) for a string
+    for bad in (2.5, 5.0, True, "5"):
+        with pytest.raises(ValueError):
+            EnumerationConfig(max_vertices=bad)
+    for bad in (True, "5"):
+        with pytest.raises(ValueError):
+            EnumerationConfig(time_budget=bad)
+    assert EnumerationConfig(max_vertices=5, time_budget=2).time_budget == 2
 
 
 # --- spectra ----------------------------------------------------------------------
@@ -325,6 +349,13 @@ def test_reduced_equivalence_654_predicted_full_side():
     assert report.full_source == "predicted"  # 120 vertices exceed the default cap
     assert report.reduced_spectrum.as_report()["spectrum"] == {"4": 1, "5": 1, "6": 1}
     assert report.reduced_size == 18
+
+
+def test_reduced_equivalence_654_enumerated_with_raised_cap():
+    report = verify_reduced_equivalence(DimsSpec.of(6, 5, 4), EnumerationConfig(max_vertices=120))
+    assert report.full_source == "enumerated"
+    assert report.equal
+    assert report.full_spectrum.as_report()["spectrum"] == {"4": 1, "5": 1, "6": 1}
 
 
 def test_reduced_equivalence_flags_extrapolated_prediction():
