@@ -115,11 +115,15 @@ def _search(
             stats={"vertices": h.n, "max_vertices": cfg.max_vertices},
         )
     n = h.n
-    cset = set(h.c_edges)
-    dset = set(h.d_edges)
-    edges = sorted(cset | dset)
-    in_c = [e in cset for e in edges]
-    in_d = [e in dset for e in edges]
+    if h.c_edges is h.d_edges:  # a bi-hypergraph's one sorted edge tuple
+        edges = h.c_edges
+        in_c = in_d = [True] * len(edges)
+    else:
+        cset = set(h.c_edges)
+        dset = set(h.d_edges)
+        edges = tuple(sorted(cset | dset))
+        in_c = [e in cset for e in edges]
+        in_d = [e in dset for e in edges]
     left = [len(e) for e in edges]  # uncolored members per edge
     incident: list[list[int]] = [[] for _ in range(n)]
     for i, e in enumerate(edges):

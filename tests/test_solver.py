@@ -75,7 +75,7 @@ def test_duplicate_dims_collapse_axis_partitions():
     [(3, 3), (4, 3), (4, 4), (5, 4), (3, 3, 3), (4, 3, 3), (4, 4, 3), (5, 5, 4), (6, 5, 4)],
 )
 def test_products_enumerate_to_exactly_the_axis_partitions(dims):
-    # 48, 100 and 120 vertices: beyond the default cap of 64 the cap is raised
+    # (5,5,4) and (6,5,4) have 100 and 120 vertices, past the default cap of 64
     d = DimsSpec(dims)
     h = product_bihypergraph(d)
     cfg = EnumerationConfig(max_vertices=max(64, h.n))
