@@ -48,15 +48,15 @@ def mixed_hypergraphs(draw, max_vertices=9, max_edges=20):
 
 
 @st.composite
-def planted_mixed_hypergraphs(draw, min_vertices=13, max_vertices=40):
-    """Mixed hypergraphs dense enough to have few partitions, often a handful.
+def planted_mixed_hypergraphs(draw):
+    """Mixed hypergraphs of 13-40 vertices with few partitions, often a handful.
 
     A hidden labeling with 2-6 classes decides which families may hold each
     random 2-4 element edge (C only if it repeats a class, D only if it is not
     monochromatic), so the labeling stays feasible. Purely random edges at
     these sizes give either no partition or millions of them.
     """
-    n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
+    n = draw(st.integers(min_value=13, max_value=40))
     k = draw(st.integers(min_value=2, max_value=6))
     per_vertex = draw(st.integers(min_value=4, max_value=12))
     # one seed, not hypothesis' randoms(): hundreds of edges would each be a draw
