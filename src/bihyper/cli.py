@@ -84,7 +84,8 @@ def _parse_target(text: str) -> SpectrumTarget:
     return SpectrumTarget.of(pairs)
 
 
-def _config(args: argparse.Namespace, default_cap: int = 64) -> EnumerationConfig:
+def _config(args: argparse.Namespace,
+            default_cap: int = EnumerationConfig.max_vertices) -> EnumerationConfig:
     cap = args.max_vertices if args.max_vertices is not None else default_cap
     return EnumerationConfig(max_vertices=cap, time_budget=args.time_budget)
 
@@ -278,12 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    out_flags = argparse.ArgumentParser(add_help=False)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="machine-readable output")
+    out_flags = argparse.ArgumentParser(add_help=False, parents=[json_flag])
     out_flags.add_argument("--out", metavar="FILE", help="write hypergraph JSON here")
-    out_flags.add_argument("--json", action="store_true", help="machine-readable output")
 
-    caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--json", action="store_true", help="machine-readable output")
+    caps = argparse.ArgumentParser(add_help=False, parents=[json_flag])
     caps.add_argument("--max-vertices", type=int, metavar="N",
                       help="enumeration vertex cap")
     caps.add_argument("--time-budget", type=float, metavar="SECONDS",
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dims", type=int, nargs="+")
     p.add_argument("--mode", choices=("proof", "enumerate"), default="proof")
     p.set_defaults(func=cmd_verify)
-    p = ver_sub.add_parser("size-bound", parents=[caps], help=CLAIMS["size-bound"])
+    p = ver_sub.add_parser("size-bound", parents=[json_flag], help=CLAIMS["size-bound"])
     p.add_argument("--max-n", type=int, default=9)
     p.add_argument("--max-s", type=int, default=4)
     p.set_defaults(func=cmd_verify)

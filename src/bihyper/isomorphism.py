@@ -1,4 +1,4 @@
-"""Hypergraph isomorphism via pruned backtracking.
+"""Hypergraph isomorphism via pruned backtracking on an explicit stack.
 
 Finds a vertex bijection mapping C-edges onto C-edges and D-edges onto
 D-edges, in both directions. Intended for desk-scale instances; a size guard
@@ -75,8 +75,12 @@ def is_isomorphic(
        keeps the search deterministic.
     4. Whenever an assignment completes an edge of h1, its image must be an
        edge of h2 in the same family.
-    The returned witness is re-validated before being handed back.
+    The search is one loop on an explicit stack, with no recursion limit, and
+    the witness is re-validated before being handed back. `max_vertices` must
+    be a positive int (else ValueError); a larger instance raises CapExceeded.
     """
+    if type(max_vertices) is not int or max_vertices < 1:  # as EnumerationConfig
+        raise ValueError(f"max_vertices must be a positive int, got {max_vertices!r}")
     if h1.n > max_vertices or h2.n > max_vertices:
         raise CapExceeded(
             f"isomorphism guard: {max(h1.n, h2.n)} vertices exceeds cap {max_vertices}",
@@ -98,54 +102,48 @@ def is_isomorphic(
     for vs in pools.values():
         vs.sort(key=lambda v: (tuple(sorted(h2.vertices[v])), v))
 
-    order = sorted(range(h1.n), key=lambda u: (len(pools[sig1[u]]), u))
+    n = h1.n
+    order = sorted(range(n), key=lambda u: (len(pools[sig1[u]]), u))
 
     c2set = set(h2.c_edges)
     d2set = set(h2.d_edges)
     # edges indexed by their last vertex in assignment order: the full-image
     # check fires exactly once per edge
     pos = {u: i for i, u in enumerate(order)}
-    c1set = set(h1.c_edges)
-    d1set = set(h1.d_edges)
-    completes: list[list[tuple]] = [[] for _ in range(h1.n)]
-    for e in sorted(c1set | d1set):
-        last = max(e, key=pos.__getitem__)
-        completes[last].append((e, e in c1set, e in d1set))
+    completes: list[list[tuple]] = [[] for _ in range(n)]
+    for e, in_c, in_d in zip(*h1.edge_table()):
+        completes[max(e, key=pos.__getitem__)].append((e, in_c, in_d))
 
-    mapping: dict[int, int] = {}
-    used = [False] * h2.n
-
-    def assign(depth: int) -> bool:
-        if depth == h1.n:
-            return True
-        u = order[depth]
-        for v in pools[sig1[u]]:
+    image = [0] * n  # image[u]: the h2 vertex u maps to, once u is placed
+    used = [False] * n  # used[v]: h2 vertex v is the image of a placed vertex
+    tried = [0] * n  # tried[d]: candidates of order[d] tried so far
+    d = 0
+    while d < n:  # order[:d] is placed
+        u = order[d]
+        pool = pools[sig1[u]]
+        i = tried[d]
+        while i < len(pool):
+            v = pool[i]
+            i += 1
             if used[v]:
                 continue
-            mapping[u] = v
-            ok = True
+            image[u] = v
             for e, in_c, in_d in completes[u]:
-                image = tuple(sorted(mapping[w] for w in e))
-                if in_c and image not in c2set:
-                    ok = False
+                mapped = tuple(sorted(image[w] for w in e))
+                if in_c and mapped not in c2set or in_d and mapped not in d2set:
                     break
-                if in_d and image not in d2set:
-                    ok = False
-                    break
-            if ok:
+            else:
+                tried[d] = i
                 used[v] = True
-                if assign(depth + 1):
-                    return True
-                used[v] = False
-            del mapping[u]
-        return False
-
-    try:
-        if not assign(0):
-            return None
-    finally:
-        del assign  # assign refers to itself; breaking that cycle frees the search state now
-    witness = dict(mapping)
+                d += 1
+                break
+        else:  # no candidate left for u: backtrack
+            tried[d] = 0
+            if d == 0:
+                return None
+            d -= 1
+            used[image[order[d]]] = False
+    witness = {u: image[u] for u in order}
     if not check_isomorphism(h1, h2, witness):  # pragma: no cover - safety net
         raise AssertionError("internal error: search returned an invalid witness")
     return witness

@@ -138,6 +138,16 @@ class MixedHypergraph:
             raise ValueError("not a bi-hypergraph: C-edge and D-edge families differ")
         return self.c_edges
 
+    def edge_table(self) -> tuple[tuple[Edge, ...], list[bool], list[bool]]:
+        """`(edges, in_c, in_d)`: both families as one sorted edge tuple, flagged
+        per edge by family. A bi-hypergraph gives its shared tuple, flagged as both."""
+        if self.c_edges is self.d_edges:
+            both = [True] * len(self.c_edges)
+            return self.c_edges, both, both
+        cset, dset = set(self.c_edges), set(self.d_edges)
+        edges = tuple(sorted(cset | dset))
+        return edges, [e in cset for e in edges], [e in dset for e in edges]
+
     def with_bi_edge(self, edge: Iterable[int]) -> "MixedHypergraph":
         """Return a copy with `edge` added to both families."""
         e = tuple(edge)

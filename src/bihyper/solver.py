@@ -115,15 +115,7 @@ def _search(
             stats={"vertices": h.n, "max_vertices": cfg.max_vertices},
         )
     n = h.n
-    if h.c_edges is h.d_edges:  # a bi-hypergraph's one sorted edge tuple
-        edges = h.c_edges
-        in_c = in_d = [True] * len(edges)
-    else:
-        cset = set(h.c_edges)
-        dset = set(h.d_edges)
-        edges = tuple(sorted(cset | dset))
-        in_c = [e in cset for e in edges]
-        in_d = [e in dset for e in edges]
+    edges, in_c, in_d = h.edge_table()
     left = [len(e) for e in edges]  # uncolored members per edge
     incident: list[list[int]] = [[] for _ in range(n)]
     for i, e in enumerate(edges):
@@ -352,16 +344,16 @@ def verify_edge_maximality(
 ) -> MaximalityReport:
     """Check that adding any non-edge triple changes the product's spectrum.
 
-    proof mode: a triple is absent exactly when some coordinate is constant or
-    three-valued across it; either way the coloring along that coordinate is
-    destroyed (monochromatic edge, respectively rainbow edge), so the spectrum
-    drops. The check confirms the coordinate witness exists for every absent
-    triple.
+    A 3-element bi-edge holds under a partition iff it touches exactly two
+    classes, so adding a triple keeps exactly those partitions. Both modes scan
+    the non-edges once and report each triple that every one of a list of
+    labelings (vertex -> class) puts on two classes.
 
-    enumerate mode: enumerate the product's feasible partitions once. A
-    3-element bi-edge holds under a partition iff it touches exactly two
-    classes, so adding the triple keeps exactly those partitions, and the
-    spectrum is unchanged iff every partition puts the triple on two classes.
+    proof mode: the labelings are the axis partitions, which color the product
+    by construction. A non-edge is constant or three-valued on some coordinate,
+    so it destroys that axis partition and the spectrum drops.
+
+    enumerate mode: the labelings are all feasible partitions, enumerated once.
     Exact, but only viable within the enumeration caps.
     """
     if mode not in ("proof", "enumerate"):
@@ -375,16 +367,14 @@ def verify_edge_maximality(
     if mode == "enumerate":
         partitions = enumerate_feasible_partitions(h, cfg)
         base = ChromaticSpectrum.from_class_counts(Counter(p.num_classes for p in partitions))
-        label_maps = [p.label_map() for p in partitions]
+        labelings = [p.label_map() for p in partitions]
+    else:
+        labelings = list(zip(*h.vertices))  # one coordinate tuple per axis
     for triple in itertools.combinations(range(h.n), 3):
         if triple in edge_set:
             continue
         tested += 1
-        if mode == "proof":
-            a, b, c = (h.vertices[v] for v in triple)
-            if not any(len({x, y, z}) != 2 for x, y, z in zip(a, b, c)):
-                failures.append(triple)  # pragma: no cover - cannot happen
-        elif all(len({lab[v] for v in triple}) == 2 for lab in label_maps):
+        if all(len({lab[v] for v in triple}) == 2 for lab in labelings):
             failures.append(triple)
     expected = comb(h.n, 3) - len(edge_set)
     if tested != expected:  # pragma: no cover - accounting self-check

@@ -194,6 +194,18 @@ def test_verify_size_bound_empty_sweep_is_input_error(capsys, flags):
     assert "VERIFIED" not in stdout and "verified" not in stdout
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--max-vertices", "5"), ("--time-budget", "1")],
+    ids=["max-vertices", "time-budget"],
+)
+def test_verify_size_bound_refuses_enumeration_flags(capsys, flags):
+    # size-bound enumerates nothing, so a cap it would ignore is a usage error
+    code, stdout, _ = invoke(capsys, "verify", "size-bound", *flags)
+    assert code == 2
+    assert "VERIFIED" not in stdout
+
+
 def test_verify_prints_instance_parameters(capsys):
     _, stdout, _ = invoke(capsys, "verify", "lemma31", "5", "4")
     assert "verify lemma31: dims=(5, 4)" in stdout

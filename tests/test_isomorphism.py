@@ -138,6 +138,24 @@ def test_size_guard_refuses_large_instances():
     assert witness is not None
 
 
+def test_max_vertices_must_be_a_positive_int():
+    # checked as EnumerationConfig checks it: no bool, no truncated float, and
+    # ValueError rather than TypeError for a string
+    for bad in (True, 2.5, 40.0, "5", 0, -1):
+        with pytest.raises(ValueError):
+            is_isomorphic(H33, H33, max_vertices=bad)
+
+
+def test_isomorphism_has_no_recursion_limit():
+    # a 1,200-vertex star assigns one vertex per depth, far past the default
+    # recursion limit of 1,000 frames
+    n = 1200
+    star = make_mixed_hypergraph([(i + 1,) for i in range(n)], [(0, i) for i in range(1, n)], [])
+    witness = is_isomorphic(star, star, max_vertices=n)
+    assert witness is not None
+    assert witness_is_isomorphism(star, star, witness)
+
+
 def test_check_isomorphism_rejects_bad_witnesses():
     witness = is_isomorphic(H33, H33)
     assert check_isomorphism(H33, H33, witness)

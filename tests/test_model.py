@@ -331,6 +331,19 @@ def test_bi_edges_stored_once(tmp_path):
         assert h.is_bihypergraph and h.c_edges is h.d_edges
 
 
+def test_edge_table_merges_the_two_families():
+    edges, in_c, in_d = H43.edge_table()
+    assert edges is H43.c_edges  # a bi-hypergraph's shared tuple, not a copy
+    assert in_c == in_d == [True] * len(edges)
+    mixed = make_mixed_hypergraph(
+        [(i + 1,) for i in range(4)], [(2, 3), (0, 1), (1, 2)], [(1, 2), (0, 3)]
+    )
+    edges, in_c, in_d = mixed.edge_table()
+    assert edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+    assert [e for e, c in zip(edges, in_c) if c] == list(mixed.c_edges)
+    assert [e for e, d in zip(edges, in_d) if d] == list(mixed.d_edges)
+
+
 def test_json_missing_key():
     with pytest.raises(ValueError):
         from_json_dict({"vertices": [[1]], "c_edges": []})

@@ -29,6 +29,7 @@ from bihyper import (
     verify_edge_maximality,
     verify_reduced_equivalence,
 )
+from bihyper.cli import run
 
 
 def edgeless(n):
@@ -318,6 +319,25 @@ def test_maximality_proof_h43():
     assert report.tested_triples == 148  # C(12,3) - 72
     assert report.failures == ()
     assert report.base_spectrum is None
+
+
+def test_maximality_proof_reports_a_dropped_edge(monkeypatch, capsys):
+    # a product builder that loses one edge leaves a non-edge that every axis
+    # partition puts on two classes; proof mode must name exactly that triple
+    full = solver.product_bihypergraph
+    lost = full(DimsSpec.of(4, 3)).bi_edges[5]
+
+    def dropping(d):
+        h = full(d)
+        kept = [e for e in h.bi_edges if e != lost]
+        return make_mixed_hypergraph(h.vertices, kept, kept, dims=h.dims)
+
+    monkeypatch.setattr(solver, "product_bihypergraph", dropping)
+    report = verify_edge_maximality(DimsSpec.of(4, 3), mode="proof")
+    assert report.failures == (lost,)
+    assert report.tested_triples == 149
+    assert run(["verify", "thm24", "4", "3"]) == 1
+    assert "FAILED: 1 of 149 non-edges" in capsys.readouterr().out
 
 
 def test_maximality_modes_validate():
