@@ -41,8 +41,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAP_ABORT = 3
 
-VERIFY_DEFAULT_MAX_VERTICES = 40
-
 CLAIMS = {
     "lemma21": "two-dimension product has spectrum {n1:1, n2:1}",
     "thm22": "strictly-decreasing product has one feasible partition per dimension",
@@ -84,10 +82,8 @@ def _parse_target(text: str) -> SpectrumTarget:
     return SpectrumTarget.of(pairs)
 
 
-def _config(args: argparse.Namespace,
-            default_cap: int = EnumerationConfig.max_vertices) -> EnumerationConfig:
-    cap = args.max_vertices if args.max_vertices is not None else default_cap
-    return EnumerationConfig(max_vertices=cap, time_budget=args.time_budget)
+def _config(args: argparse.Namespace) -> EnumerationConfig:
+    return EnumerationConfig(max_vertices=args.max_vertices, time_budget=args.time_budget)
 
 
 def _emit_hypergraph(h: MixedHypergraph, label: str, args: argparse.Namespace) -> int:
@@ -162,7 +158,7 @@ def _verify_spectrum_claim(name: str, d: DimsSpec, args: argparse.Namespace) -> 
     """Shared body for the spectrum-equality claims on the product family."""
     expected = predicted_spectrum(d)
     _print_claim(name, f"dims={d.dims}")
-    actual = chromatic_spectrum(product_bihypergraph(d), _config(args, VERIFY_DEFAULT_MAX_VERTICES))
+    actual = chromatic_spectrum(product_bihypergraph(d), _config(args))
     verified = actual == expected
     if verified:
         line = f"VERIFIED: R(H)={fmt_spectrum(actual)}, Phi={fmt_set(actual.feasible_set)}"
@@ -201,9 +197,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if name == "thm24":
         d = _parse_dims(args.dims)
         _print_claim(name, f"dims={d.dims}, mode={args.mode}")
-        report = verify_edge_maximality(
-            d, _config(args, VERIFY_DEFAULT_MAX_VERTICES), mode=args.mode
-        )
+        report = verify_edge_maximality(d, _config(args), mode=args.mode)
         if report.ok:
             line = f"VERIFIED: {report.tested_triples} non-edges tested, 0 failures"
         else:
@@ -223,7 +217,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if name == "lemma31" and d.s != 2:
             raise ValueError(f"lemma31 takes exactly 2 dimensions, got {d.dims}")
         _print_claim(name, f"dims={d.dims}")
-        report = verify_reduced_equivalence(d, _config(args, VERIFY_DEFAULT_MAX_VERTICES))
+        report = verify_reduced_equivalence(d, _config(args))
         if report.note:
             print(f"note: {report.note}", file=sys.stderr)
         reduced = fmt_spectrum(report.reduced_spectrum)
@@ -286,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     caps = argparse.ArgumentParser(add_help=False, parents=[json_flag])
     caps.add_argument("--max-vertices", type=int, metavar="N",
-                      help="enumeration vertex cap")
+                      default=EnumerationConfig.max_vertices, help="enumeration vertex cap")
     caps.add_argument("--time-budget", type=float, metavar="SECONDS",
                       help="abort enumeration after this long")
 

@@ -1,8 +1,11 @@
 """Hypergraph isomorphism via pruned backtracking on an explicit stack.
 
 Finds a vertex bijection mapping C-edges onto C-edges and D-edges onto
-D-edges, in both directions. Intended for desk-scale instances; a size guard
-refuses anything larger rather than risking an open-ended search.
+D-edges, in both directions. The search reads the two families only through
+`MixedHypergraph.edge_table()`; `check_isomorphism` re-reads them separately
+to validate every witness. Intended for desk-scale instances: past
+`MAX_VERTICES` vertices the search raises `CapExceeded` rather than risk an
+open-ended search.
 """
 
 from __future__ import annotations
@@ -13,35 +16,34 @@ from .model import CapExceeded, MixedHypergraph
 
 __all__ = ["is_isomorphic", "check_isomorphism"]
 
-DEFAULT_MAX_VERTICES = 32
+MAX_VERTICES = 32
 
 
-def _signatures(h: MixedHypergraph) -> list:
+def _families(h: MixedHypergraph) -> dict:
+    """`{edge: (in_c, in_d)}` over both families of h, edges in sorted order."""
+    edges, in_c, in_d = h.edge_table()
+    return dict(zip(edges, zip(in_c, in_d)))
+
+
+def _signatures(n: int, families: dict) -> list:
     """Per-vertex invariant: incident edge-size profile per family, refined
     once by the multiset of co-members' profiles."""
-    base = []
-    inc_c = [[] for _ in range(h.n)]
-    inc_d = [[] for _ in range(h.n)]
-    for e in h.c_edges:
+    inc = [[] for _ in range(n)]
+    for e, flags in families.items():
         for v in e:
-            inc_c[v].append(e)
-    for e in h.d_edges:
-        for v in e:
-            inc_d[v].append(e)
-    for v in range(h.n):
-        base.append(
-            (
-                tuple(sorted(len(e) for e in inc_c[v])),
-                tuple(sorted(len(e) for e in inc_d[v])),
-            )
-        )
-    refined = []
-    for v in range(h.n):
-        neigh = sorted(
-            base[u] for e in inc_c[v] + inc_d[v] for u in e if u != v
-        )
-        refined.append((base[v], tuple(neigh)))
-    return refined
+            inc[v].append((e, flags))
+    base = [
+        (tuple(sorted(len(e) for e, (in_c, _) in inc[v] if in_c)),
+         tuple(sorted(len(e) for e, (_, in_d) in inc[v] if in_d)))
+        for v in range(n)
+    ]
+    # a co-member counts once for each family the shared edge is in
+    return [
+        (base[v], tuple(sorted(
+            base[u] for e, flags in inc[v] for u in e if u != v for _ in range(sum(flags))
+        )))
+        for v in range(n)
+    ]
 
 
 def check_isomorphism(
@@ -59,60 +61,53 @@ def check_isomorphism(
     return True
 
 
-def is_isomorphic(
-    h1: MixedHypergraph,
-    h2: MixedHypergraph,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> dict[int, int] | None:
+def is_isomorphic(h1: MixedHypergraph, h2: MixedHypergraph) -> dict[int, int] | None:
     """Return a witnessing vertex bijection h1 index -> h2 index, or None.
 
     Search outline:
-    1. Reject quickly on mismatched vertex counts, edge counts, or invariant
-       signature multisets.
+    1. Reject quickly on mismatched vertex counts, per-family edge counts, or
+       invariant signature multisets.
     2. Group h2 vertices by signature; these are the candidate pools.
     3. Assign h1 vertices most-constrained-first (smallest pool, then index);
        candidates are tried ordered by coordinate multiset then index, which
        keeps the search deterministic.
     4. Whenever an assignment completes an edge of h1, its image must be an
-       edge of h2 in the same family.
+       edge of h2 in exactly the same families.
     The search is one loop on an explicit stack, with no recursion limit, and
-    the witness is re-validated before being handed back. `max_vertices` must
-    be a positive int (else ValueError); a larger instance raises CapExceeded.
+    the witness is re-validated before being handed back. An instance with
+    more than `MAX_VERTICES` vertices raises CapExceeded.
     """
-    if type(max_vertices) is not int or max_vertices < 1:  # as EnumerationConfig
-        raise ValueError(f"max_vertices must be a positive int, got {max_vertices!r}")
-    if h1.n > max_vertices or h2.n > max_vertices:
+    if h1.n > MAX_VERTICES or h2.n > MAX_VERTICES:
         raise CapExceeded(
-            f"isomorphism guard: {max(h1.n, h2.n)} vertices exceeds cap {max_vertices}",
-            stats={"max_vertices": max_vertices},
+            f"isomorphism guard: {max(h1.n, h2.n)} vertices exceeds cap {MAX_VERTICES}",
+            stats={"max_vertices": MAX_VERTICES},
         )
     if h1.n != h2.n:
         return None
-    if len(h1.c_edges) != len(h2.c_edges) or len(h1.d_edges) != len(h2.d_edges):
+    fam1, fam2 = _families(h1), _families(h2)
+    if sorted(fam1.values()) != sorted(fam2.values()):
         return None
 
-    sig1 = _signatures(h1)
-    sig2 = _signatures(h2)
+    n = h1.n
+    sig1 = _signatures(n, fam1)
+    sig2 = _signatures(n, fam2)
     if sorted(sig1) != sorted(sig2):
         return None
 
     pools: dict = defaultdict(list)
-    for v in range(h2.n):
+    for v in range(n):
         pools[sig2[v]].append(v)
     for vs in pools.values():
         vs.sort(key=lambda v: (tuple(sorted(h2.vertices[v])), v))
 
-    n = h1.n
     order = sorted(range(n), key=lambda u: (len(pools[sig1[u]]), u))
 
-    c2set = set(h2.c_edges)
-    d2set = set(h2.d_edges)
     # edges indexed by their last vertex in assignment order: the full-image
     # check fires exactly once per edge
     pos = {u: i for i, u in enumerate(order)}
     completes: list[list[tuple]] = [[] for _ in range(n)]
-    for e, in_c, in_d in zip(*h1.edge_table()):
-        completes[max(e, key=pos.__getitem__)].append((e, in_c, in_d))
+    for e, flags in fam1.items():
+        completes[max(e, key=pos.__getitem__)].append((e, flags))
 
     image = [0] * n  # image[u]: the h2 vertex u maps to, once u is placed
     used = [False] * n  # used[v]: h2 vertex v is the image of a placed vertex
@@ -128,9 +123,8 @@ def is_isomorphic(
             if used[v]:
                 continue
             image[u] = v
-            for e, in_c, in_d in completes[u]:
-                mapped = tuple(sorted(image[w] for w in e))
-                if in_c and mapped not in c2set or in_d and mapped not in d2set:
+            for e, flags in completes[u]:
+                if fam2.get(tuple(sorted(image[w] for w in e))) != flags:
                     break
             else:
                 tried[d] = i

@@ -133,6 +133,25 @@ def test_verify_lemma31_predicted_side(capsys):
     assert "predicted" in stdout and "|X*|=18" in stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ("thm22", "5", "4", "3"),
+    ("thm24", "--mode", "enumerate", "4", "4", "3"),
+])
+def test_verify_default_cap_runs_up_to_64_vertices(capsys, argv):
+    # 60 and 48 vertices: every verify claim enumerates under the one 64 default
+    code, stdout, _ = invoke(capsys, "verify", *argv)
+    assert code == 0
+    assert "VERIFIED" in stdout
+
+
+def test_verify_thm32_enumerates_full_side_under_default_cap(capsys):
+    code, stdout, _ = invoke(capsys, "verify", "thm32", "7", "6", "--json")
+    assert code == 0
+    data = json.loads(stdout.splitlines()[-1])
+    assert data["full_source"] == "enumerated"  # the (7,6) product has 42 vertices
+    assert data["verified"] is True
+
+
 def test_verify_lemma21(capsys):
     code, stdout, _ = invoke(capsys, "verify", "lemma21", "4", "3", "--json")
     assert code == 0
@@ -290,8 +309,8 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_cap_abort_exit_code(capsys):
-    # the 60-vertex product exceeds the default verify cap of 40
-    code, _, stderr = invoke(capsys, "verify", "thm22", "5", "4", "3")
+    # the 72-vertex product exceeds the default cap of 64
+    code, _, stderr = invoke(capsys, "verify", "thm22", "6", "4", "3")
     assert code == 3
     assert "aborted" in stderr
 
@@ -331,7 +350,7 @@ def test_feasible_on_uncolorable_file(tmp_path, capsys):
 
 
 def test_cap_override_allows_running(capsys):
-    code, stdout, _ = invoke(capsys, "verify", "lemma21", "5", "4", "--max-vertices", "64")
+    code, stdout, _ = invoke(capsys, "verify", "thm22", "6", "4", "3", "--max-vertices", "72")
     assert code == 0
     assert "VERIFIED" in stdout
 

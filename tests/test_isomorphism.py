@@ -5,6 +5,7 @@ import random
 import pytest
 from conftest import random_mixed_hypergraph, witness_is_isomorphism
 
+from bihyper import isomorphism
 from bihyper import (
     CapExceeded,
     DimsSpec,
@@ -130,28 +131,22 @@ def test_coordinates_do_not_matter_for_isomorphism():
     assert witness_is_isomorphism(H43, generic, witness)
 
 
-def test_size_guard_refuses_large_instances():
+def test_size_guard_refuses_large_instances(monkeypatch):
     big = make_mixed_hypergraph([(i + 1,) for i in range(40)], [], [])
     with pytest.raises(CapExceeded):
         is_isomorphic(big, big)
-    witness = is_isomorphic(big, big, max_vertices=40)
+    monkeypatch.setattr(isomorphism, "MAX_VERTICES", 40)
+    witness = is_isomorphic(big, big)
     assert witness is not None
 
 
-def test_max_vertices_must_be_a_positive_int():
-    # checked as EnumerationConfig checks it: no bool, no truncated float, and
-    # ValueError rather than TypeError for a string
-    for bad in (True, 2.5, 40.0, "5", 0, -1):
-        with pytest.raises(ValueError):
-            is_isomorphic(H33, H33, max_vertices=bad)
-
-
-def test_isomorphism_has_no_recursion_limit():
+def test_isomorphism_has_no_recursion_limit(monkeypatch):
     # a 1,200-vertex star assigns one vertex per depth, far past the default
     # recursion limit of 1,000 frames
     n = 1200
+    monkeypatch.setattr(isomorphism, "MAX_VERTICES", n)
     star = make_mixed_hypergraph([(i + 1,) for i in range(n)], [(0, i) for i in range(1, n)], [])
-    witness = is_isomorphic(star, star, max_vertices=n)
+    witness = is_isomorphic(star, star)
     assert witness is not None
     assert witness_is_isomorphism(star, star, witness)
 
