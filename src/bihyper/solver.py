@@ -5,9 +5,9 @@ Two independent routes compute the same answers:
 * `enumerate_feasible_partitions` / `chromatic_spectrum`: one forward-checking
   backtracking loop on an explicit stack (`_search`: per-edge counts of
   uncolored members, unit-rule narrowing of the last free member, branching on
-  the fewest allowed classes, no recursion limit) emits restricted-growth label
-  strings; the first sorts them and wraps each in a `Partition`, the second
-  only counts them by class number;
+  the fewest allowed classes, no recursion limit) hands over restricted-growth
+  label strings whose last vertex comes as one class bitmask; the first
+  expands, sorts and wraps each in a `Partition`, the second counts each mask;
 * `brute_force_spectrum`: an unpruned scan of ALL set partitions filtered by
   the public properness predicate, the trusted oracle for small inputs.
 
@@ -78,7 +78,7 @@ class EnumerationConfig:
 
 
 def _search(
-    h: MixedHypergraph, cfg: EnumerationConfig, emit: Callable[[list[int]], None]
+    h: MixedHypergraph, cfg: EnumerationConfig, leaf: Callable[[list[int], int, int, int], None]
 ) -> None:
     """Forward-checking depth-first search over restricted-growth assignments.
 
@@ -105,9 +105,12 @@ def _search(
     `used`, so the labels are restricted-growth strings in branching order
     and each partition is visited once.
 
-    Calls `emit(labels)` once per feasible partition, with `labels` indexed by
-    vertex; the list is reused, so a caller that keeps it must copy it. Runs
-    on an explicit stack, so depth has no recursion limit.
+    The rules have settled every edge of the last vertex v, so each class in
+    its mask `allowed` completes a partition: `leaf(labels, v, allowed, fresh)`
+    gets them at once, with `labels[v] == -1` and bit `fresh` opening a class.
+    `labels` is reused: copy it to keep it, reset `labels[v]` after writing it.
+    `nodes` counts class tries above v, polling the clock every 4096; `found`
+    counts partitions. An explicit stack means no recursion limit.
     """
     if h.n > cfg.max_vertices:
         raise CapExceeded(
@@ -158,13 +161,22 @@ def _search(
                     k = dom.bit_count()
                     if k < size or (k == size and rank[w] < rank[v]):
                         v, allowed, size = w, dom, k
-        var[d] = v
-        free[rank[v]] = False
-        todo = allowed  # rest[d] while the search is at depth d
-        mark[d] = len(trail)
-        # v stays counted as colored in its edges while it tries its classes
-        for i in incident[v]:
-            left[i] -= 1
+        if d == last:
+            found += allowed.bit_count()  # no class tries: hand over the mask, back up
+            leaf(labels, v, allowed, used[d])
+            if d == 0:
+                return
+            d -= 1
+            v = var[d]
+            todo = rest[d]
+        else:
+            var[d] = v
+            free[rank[v]] = False
+            todo = allowed  # rest[d] while the search is at depth d
+            mark[d] = len(trail)
+            # v stays counted as colored in its edges while it tries its classes
+            for i in incident[v]:
+                left[i] -= 1
         while True:
             while not todo:
                 labels[v] = -1
@@ -221,13 +233,10 @@ def _search(
                 if not r & ~f:
                     break  # wipeout: try the next class
             else:
-                if d < last:
-                    rest[d] = todo
-                    used[d + 1] = used[d] + 1 if color == used[d] else used[d]
-                    d += 1
-                    break  # pick the next vertex
-                found += 1
-                emit(labels)
+                rest[d] = todo
+                used[d + 1] = used[d] + 1 if color == used[d] else used[d]
+                d += 1
+                break  # pick the next vertex
 
 
 def enumerate_feasible_partitions(
@@ -243,17 +252,21 @@ def enumerate_feasible_partitions(
     found: list[tuple[int, ...]] = []
     cap = MAX_COLLECTED_PARTITIONS
 
-    def emit(labels: list[int]) -> None:
-        # _search opens classes in its branching order; renumber them by vertex order
-        rename: dict[int, int] = {}
-        found.append(tuple(rename.setdefault(lab, len(rename)) for lab in labels))
-        if len(found) > cap:
-            raise CapExceeded(
-                f"more than {cap} feasible partitions to collect",
-                stats={"found": len(found), "max_partitions": cap},
-            )
+    def leaf(labels: list[int], v: int, allowed: int, fresh: int) -> None:
+        while allowed:
+            labels[v] = (allowed & -allowed).bit_length() - 1
+            allowed &= allowed - 1
+            # _search opens classes in its branching order; renumber them by vertex order
+            rename: dict[int, int] = {}
+            found.append(tuple(rename.setdefault(lab, len(rename)) for lab in labels))
+            if len(found) > cap:
+                raise CapExceeded(
+                    f"more than {cap} feasible partitions to collect",
+                    stats={"found": len(found), "max_partitions": cap},
+                )
+        labels[v] = -1
 
-    _search(h, cfg or EnumerationConfig(), emit)
+    _search(h, cfg or EnumerationConfig(), leaf)
     found.sort()
     return [Partition.from_labels(s) for s in found]
 
@@ -266,13 +279,15 @@ def chromatic_spectrum(
     The search streams counts and keeps no partition, so memory stays flat on
     permissive hypergraphs with huge partition families.
     """
-    by_k: Counter[int] = Counter()
+    counts = [0] * (h.n + 1)  # counts[k]: partitions with k classes
 
-    def count(labels: list[int]) -> None:
-        by_k[len(set(labels))] += 1
+    def leaf(labels: list[int], v: int, allowed: int, fresh: int) -> None:
+        opened = allowed >> fresh  # 1 iff v may open class `fresh`
+        counts[fresh + 1] += opened
+        counts[fresh] += allowed.bit_count() - opened
 
-    _search(h, cfg or EnumerationConfig(), count)
-    return ChromaticSpectrum.from_class_counts(by_k)
+    _search(h, cfg or EnumerationConfig(), leaf)
+    return ChromaticSpectrum.from_counts(counts[1:])
 
 
 def feasible_set(h: MixedHypergraph, cfg: EnumerationConfig | None = None) -> frozenset[int]:

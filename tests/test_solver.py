@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -132,6 +133,53 @@ def test_time_budget_aborts_with_stats():
     with pytest.raises(CapExceeded) as err:
         chromatic_spectrum(edgeless(18), cfg)
     assert "nodes" in err.value.stats
+
+
+def test_time_budget_polls_the_clock_under_batched_leaves():
+    # about 10^10 partitions; leaves come in batches, but the clock is polled
+    # every 4096 class tries above the last vertex, so the budget still trips
+    cfg = EnumerationConfig(time_budget=0.2)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as err:
+        chromatic_spectrum(edgeless(16), cfg)
+    assert time.perf_counter() - start < 3.0
+    stats = err.value.stats
+    # nodes are class tries, not the partitions each leaf's mask holds
+    assert 0 < stats["nodes"] < stats["found"]
+
+
+def test_search_hands_over_the_last_vertex_as_one_mask():
+    # one leaf per partition of the first 7 vertices, B(7) = 877, whose masks
+    # hold all B(8) = 4,140 partitions of edgeless 8
+    masks = []
+
+    def leaf(labels, v, allowed, fresh):
+        masks.append(allowed)
+
+    solver._search(edgeless(8), EnumerationConfig(), leaf)
+    assert len(masks) == 877
+    assert sum(m.bit_count() for m in masks) == 4140
+
+
+@pytest.mark.parametrize(
+    "n, c_edges, d_edges, counts",
+    [
+        (1, [], [], (1,)),  # a leaf at depth 0
+        (2, [], [(0, 1)], (0, 1)),  # D-edge: the last vertex must open a class
+        (2, [(0, 1)], [], (1,)),  # C-edge: it must reuse the first one
+        (2, [(0, 1)], [(0, 1)], ()),  # both: a wipeout, no leaf
+    ],
+)
+def test_shallow_leaves_match_brute_force(n, c_edges, d_edges, counts):
+    h = make_mixed_hypergraph([(i + 1,) for i in range(n)], c_edges, d_edges)
+    sp = chromatic_spectrum(h)
+    assert sp.counts == counts == brute_force_spectrum(h).counts
+    assert sorted(p.num_classes for p in enumerate_feasible_partitions(h)) == [
+        k for k, r in enumerate(counts, 1) for _ in range(r)
+    ]
+    if not counts:
+        with pytest.raises(UncolorableError):
+            chromatic_numbers(h)
 
 
 def test_deep_instance_has_no_recursion_limit():
