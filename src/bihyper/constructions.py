@@ -8,14 +8,16 @@ realized.
 
 The reduced family keeps only a small certifying subset of the box, of size
 2*n_1 + n_2 + s - 2, chosen so that the feasible set and spectrum survive the
-restriction.
+restriction. It is the product's derived sub-hypergraph on that subset, so
+both families take their edges from one generator, `_two_valued_triples`,
+applied to their own vertex list.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
     DimsSpec,
@@ -27,7 +29,6 @@ from .model import (
 
 __all__ = [
     "SpectrumTarget",
-    "triple_is_biedge",
     "box_vertices",
     "product_bihypergraph",
     "canonical_coloring",
@@ -76,41 +77,39 @@ class SpectrumTarget:
         return DimsSpec(tuple(flat))
 
 
-def triple_is_biedge(a: Vertex, b: Vertex, c: Vertex) -> bool:
-    """True iff every coordinate of the triple takes exactly two distinct values."""
-    return all(len({x, y, z}) == 2 for x, y, z in zip(a, b, c))
-
-
 def box_vertices(d: DimsSpec) -> tuple[Vertex, ...]:
     """All coordinate tuples of the box, in ascending (row-major) order."""
     return tuple(itertools.product(*(range(1, n + 1) for n in d.dims)))
 
 
-def product_bihypergraph(d: DimsSpec) -> MixedHypergraph:
-    """Bi-hypergraph on the full box with the exactly-two-values edge rule.
+def _two_valued_triples(verts: Sequence[Vertex]) -> list[tuple[int, int, int]]:
+    """Sorted index triples of distinct `verts` with two values in every coordinate.
 
-    Edges are generated pairwise rather than by scanning all triples: given
-    two distinct vertices x < y, the third member z is pinned coordinate by
-    coordinate (z_j != x_j where x_j = y_j, else z_j in {x_j, y_j}), and only
-    completions beyond y are kept so each edge appears once. Total work is
-    proportional to the number of edges, not to n^3.
+    `at[c][a]` masks the vertices whose coordinate c is a. The third members of
+    a pair i < j start as every k > j; each coordinate keeps those unlike the
+    pair where it agrees, else those equal to one of the pair.
     """
-    verts = box_vertices(d)
-    index = {v: i for i, v in enumerate(verts)}
+    at: list[dict[int, int]] = [{} for _ in verts[0]]
+    for i, v in enumerate(verts):
+        for m, a in zip(at, v):
+            m[a] = m.get(a, 0) | 1 << i
     edges: list[tuple[int, int, int]] = []
     for i, x in enumerate(verts):
         for j in range(i + 1, len(verts)):
-            y = verts[j]
-            options = []
-            for xc, yc, n in zip(x, y, d.dims):
-                if xc == yc:
-                    options.append(tuple(v for v in range(1, n + 1) if v != xc))
-                else:
-                    options.append((xc, yc))
-            for z in itertools.product(*options):
-                k = index[z]
-                if k > j:
-                    edges.append((i, j, k))
+            cand = -1 << (j + 1)
+            for m, a, b in zip(at, x, verts[j]):
+                cand &= ~m[a] if a == b else m[a] | m[b]
+            while cand:
+                low = cand & -cand
+                edges.append((i, j, low.bit_length() - 1))
+                cand ^= low
+    return edges
+
+
+def product_bihypergraph(d: DimsSpec) -> MixedHypergraph:
+    """Bi-hypergraph on the full box with the exactly-two-values edge rule."""
+    verts = box_vertices(d)
+    edges = _two_valued_triples(verts)
     return make_mixed_hypergraph(verts, edges, edges, dims=d.dims)
 
 
@@ -198,13 +197,9 @@ def iter_reduced_dims(max_entry: int, max_s: int) -> Iterable[DimsSpec]:
 def reduced_bihypergraph(d: DimsSpec) -> MixedHypergraph:
     """Derived sub-hypergraph of the product on the reduced vertex set.
 
-    Built directly by testing the edge rule on triples of the reduced set; the
-    full product (potentially huge) is never materialized.
+    The product's generator runs on the reduced vertices alone; the full
+    product (potentially huge) is never materialized.
     """
     verts = sorted(reduced_vertex_set(d))
-    edges = [
-        t
-        for t in itertools.combinations(range(len(verts)), 3)
-        if triple_is_biedge(verts[t[0]], verts[t[1]], verts[t[2]])
-    ]
+    edges = _two_valued_triples(verts)
     return make_mixed_hypergraph(verts, edges, edges, dims=d.dims)

@@ -107,6 +107,16 @@ def test_feasible_human_output(tmp_path, capsys):
     assert "feasible set: {3,4}" in stdout
 
 
+def test_feasible_json_has_no_spectrum(tmp_path, capsys):
+    out = tmp_path / "h.json"
+    invoke(capsys, "construct", "product", "4", "3", "--out", str(out))
+    code, stdout, _ = invoke(capsys, "feasible", str(out), "--json")
+    assert code == 0
+    assert json.loads(stdout) == {
+        "feasible_set": [3, 4], "chi": 3, "chi_bar": 4, "partition_count": 2
+    }
+
+
 def test_uncolorable_file_reports_empty(tmp_path, capsys):
     h = product_bihypergraph(DimsSpec.of(3, 3))
     index = {v: i for i, v in enumerate(h.vertices)}
@@ -158,6 +168,21 @@ def test_verify_lemma21(capsys):
     data = json.loads(stdout.splitlines()[-1])
     assert data["verified"] is True
     assert data["actual"] == {"3": 1, "4": 1}
+
+
+def test_verify_lemma21_equal_dims_notes_hypotheses(capsys):
+    code, stdout, stderr = invoke(capsys, "verify", "lemma21", "4", "4")
+    assert code == 0
+    assert "VERIFIED: R(H)={4:2}" in stdout
+    assert "note: equal dimensions" in stderr
+
+
+def test_verify_thm32_single_dim_value_is_predicted(capsys):
+    # the (9,9) product has 81 vertices, past the cap, so its side is predicted
+    code, stdout, stderr = invoke(capsys, "verify", "thm32", "9", "9")
+    assert code == 0
+    assert "VERIFIED: R(H*)={9:2} matches predicted R(H)" in stdout
+    assert "note: prediction with a single distinct dimension value" in stderr
 
 
 def test_verify_thm22(capsys):
@@ -253,8 +278,13 @@ def test_missing_file_is_input_error(capsys):
         {"vertices": [[1], [2], [3]], "c_edges": [["0", 1, 2]], "d_edges": []},
         {"vertices": [[1], [2], [3]], "c_edges": [[0.0, 1, 2]], "d_edges": []},
         {"vertices": [[1], [2], [3]], "c_edges": [[False, True, 2]], "d_edges": []},
+        {"vertices": [[1], [2], [3]], "c_edges": 5, "d_edges": []},
+        {"dims": "x", "vertices": [[1], [2], [3]], "c_edges": [], "d_edges": []},
     ],
-    ids=["top-level-list", "nested-vertices", "string-index", "float-index", "bool-index"],
+    ids=[
+        "top-level-list", "nested-vertices", "string-index", "float-index", "bool-index",
+        "edges-not-a-list", "dims-not-a-list",
+    ],
 )
 def test_malformed_json_is_input_error(tmp_path, capsys, body):
     path = tmp_path / "bad.json"
@@ -287,6 +317,12 @@ def test_bad_set_syntax_is_input_error(capsys):
 def test_lemma21_wrong_arity_is_input_error(capsys):
     code, _, _ = invoke(capsys, "verify", "lemma21", "4", "3", "3")
     assert code == 2
+
+
+def test_lemma31_wrong_arity_is_input_error(capsys):
+    code, _, stderr = invoke(capsys, "verify", "lemma31", "5", "4", "3")
+    assert code == 2
+    assert "error:" in stderr
 
 
 def test_thm22_repeated_dims_is_input_error(capsys):

@@ -42,9 +42,9 @@ def test_product_edge_counts(dims, expected_edges):
     assert expected_edges == oracle_edge_count(dims)
 
 
-@pytest.mark.parametrize("dims", [(3, 3), (4, 3)])
+@pytest.mark.parametrize("dims", [(3, 3), (4, 3), (5, 4), (3, 3, 3), (4, 3, 3)])
 def test_product_matches_exhaustive_scan(dims):
-    # pairwise generation against the direct triple scan, all <= 12 vertices
+    # the edge generator against the direct triple scan, up to 36 vertices
     h = product_bihypergraph(DimsSpec(dims))
     assert list(h.bi_edges) == oracle_scan_edges(h.vertices)
 
@@ -240,11 +240,15 @@ def test_reduced_equals_derived_from_product(dims):
     assert reduced_bihypergraph(d) == derived_subhypergraph(full, keep)
 
 
-@pytest.mark.parametrize("dims", [(5, 4), (4, 4), (6, 5, 4), (7, 6, 5, 4)])
+@pytest.mark.parametrize(
+    "dims", [(5, 4), (4, 4), (6, 5, 4), (7, 6, 5, 4), (8, 7, 6, 5, 4)]
+)
 def test_axis_colorings_restrict_strictly_to_reduced(dims):
-    # restricting each axis class to the reduced set stays a strict coloring
+    # restricting each axis class to the reduced set stays a strict coloring;
+    # the reduced edges also match the direct triple scan
     d = DimsSpec(dims)
     h = reduced_bihypergraph(d)
+    assert list(h.bi_edges) == oracle_scan_edges(h.vertices)
     index = {v: i for i, v in enumerate(h.vertices)}
     for axis in range(1, d.s + 1):
         classes = [[] for _ in range(d.dims[axis - 1])]

@@ -66,6 +66,18 @@ def test_different_degree_profiles_not_isomorphic():
     assert is_isomorphic(path, matching) is None
 
 
+def test_equal_signatures_exhaust_the_search():
+    # a 6-cycle and two triangles: every vertex sees two 2-edges whose other
+    # ends look the same, so only the backtracking search tells them apart
+    verts = [(i + 1,) for i in range(6)]
+    cycle = make_mixed_hypergraph(verts, [(i, (i + 1) % 6) for i in range(6)], [])
+    triangles = make_mixed_hypergraph(
+        verts, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], []
+    )
+    assert is_isomorphic(cycle, triangles) is None
+    assert is_isomorphic(triangles, cycle) is None
+
+
 def test_families_not_interchangeable():
     verts = [(i + 1,) for i in range(3)]
     c_only = make_mixed_hypergraph(verts, [(0, 1)], [])
@@ -155,6 +167,7 @@ def test_check_isomorphism_rejects_bad_witnesses():
     witness = is_isomorphic(H33, H33)
     assert check_isomorphism(H33, H33, witness)
     assert not check_isomorphism(H33, H33, {})
+    assert not check_isomorphism(H33, H33, {i: 0 for i in range(H33.n)})
     # swapping vertices 0 and 1 is not an automorphism of the 3x3 product
     # (it turns {(1,1),(1,3),(2,1)} into a rainbow second coordinate), so
     # composing any witness with that transposition must fail validation
