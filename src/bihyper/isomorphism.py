@@ -1,11 +1,12 @@
 """Hypergraph isomorphism via pruned backtracking on an explicit stack.
 
 Finds a vertex bijection mapping C-edges onto C-edges and D-edges onto
-D-edges, in both directions. The search reads the two families only through
-`MixedHypergraph.edge_table()`; `check_isomorphism` re-reads them separately
-to validate every witness. Intended for desk-scale instances: past
-`MAX_VERTICES` vertices the search raises `CapExceeded` rather than risk an
-open-ended search.
+D-edges, in both directions. The search reads the families only through
+`MixedHypergraph.edge_table()` and no vertex coordinates; pair counts
+(`_pair_counts`) pick its candidates and the sorted edges its order.
+`check_isomorphism` re-reads the families separately to validate every
+witness. Past `MAX_VERTICES` vertices the search raises `CapExceeded`
+rather than risk an open-ended search.
 """
 
 from __future__ import annotations
@@ -25,25 +26,18 @@ def _families(h: MixedHypergraph) -> dict:
     return dict(zip(edges, zip(in_c, in_d)))
 
 
-def _signatures(n: int, families: dict) -> list:
-    """Per-vertex invariant: incident edge-size profile per family, refined
-    once by the multiset of co-members' profiles."""
-    inc = [[] for _ in range(n)]
-    for e, flags in families.items():
-        for v in e:
-            inc[v].append((e, flags))
-    base = [
-        (tuple(sorted(len(e) for e, (in_c, _) in inc[v] if in_c)),
-         tuple(sorted(len(e) for e, (_, in_d) in inc[v] if in_d)))
-        for v in range(n)
-    ]
-    # a co-member counts once for each family the shared edge is in
-    return [
-        (base[v], tuple(sorted(
-            base[u] for e, flags in inc[v] for u in e if u != v for _ in range(sum(flags))
-        )))
-        for v in range(n)
-    ]
+def _pair_counts(n: int, families: dict) -> list[list[int]]:
+    """`pc[a][b]` = (C-edges through a and b) * m + (D-edges through both),
+    with m = len(families) + 1 so the packing is exact; `pc[a][a]` holds a's
+    two degrees."""
+    m = len(families) + 1
+    pc = [[0] * n for _ in range(n)]
+    for e, (in_c, in_d) in families.items():
+        weight = in_c * m + in_d
+        for a in e:
+            for b in e:
+                pc[a][b] += weight
+    return pc
 
 
 def check_isomorphism(
@@ -66,11 +60,11 @@ def is_isomorphic(h1: MixedHypergraph, h2: MixedHypergraph) -> dict[int, int] | 
 
     Search outline:
     1. Reject quickly on mismatched vertex counts, per-family edge counts, or
-       invariant signature multisets.
-    2. Group h2 vertices by signature; these are the candidate pools.
-    3. Assign h1 vertices most-constrained-first (smallest pool, then index);
-       candidates are tried ordered by coordinate multiset then index, which
-       keeps the search deterministic.
+       multisets of sorted pair-count rows.
+    2. Group h2 vertices by sorted pair-count row into candidate pools.
+    3. Assign h1 vertices smallest pool first, then by first appearance in
+       the sorted edges, then by index; u may take v only if
+       `pc1[u][x] == pc2[v][image[x]]` for u and every placed x.
     4. Whenever an assignment completes an edge of h1, its image must be an
        edge of h2 in exactly the same families.
     The search is one loop on an explicit stack, with no recursion limit, and
@@ -80,7 +74,7 @@ def is_isomorphic(h1: MixedHypergraph, h2: MixedHypergraph) -> dict[int, int] | 
     if h1.n > MAX_VERTICES or h2.n > MAX_VERTICES:
         raise CapExceeded(
             f"isomorphism guard: {max(h1.n, h2.n)} vertices exceeds cap {MAX_VERTICES}",
-            stats={"max_vertices": MAX_VERTICES},
+            stats={"vertices": max(h1.n, h2.n), "max_vertices": MAX_VERTICES},
         )
     if h1.n != h2.n:
         return None
@@ -89,18 +83,19 @@ def is_isomorphic(h1: MixedHypergraph, h2: MixedHypergraph) -> dict[int, int] | 
         return None
 
     n = h1.n
-    sig1 = _signatures(n, fam1)
-    sig2 = _signatures(n, fam2)
-    if sorted(sig1) != sorted(sig2):
+    pc1, pc2 = _pair_counts(n, fam1), _pair_counts(n, fam2)
+    key1 = [tuple(sorted(row)) for row in pc1]
+    key2 = [tuple(sorted(row)) for row in pc2]
+    if sorted(key1) != sorted(key2):
         return None
 
     pools: dict = defaultdict(list)
     for v in range(n):
-        pools[sig2[v]].append(v)
-    for vs in pools.values():
-        vs.sort(key=lambda v: (tuple(sorted(h2.vertices[v])), v))
+        pools[key2[v]].append(v)
+    pool_of = [pools[k] for k in key1]  # hash each row once, not per visit
 
-    order = sorted(range(n), key=lambda u: (len(pools[sig1[u]]), u))
+    first = {u: i for i, e in reversed(list(enumerate(fam1))) for u in e}  # u -> its first edge
+    order = sorted(range(n), key=lambda u: (len(pool_of[u]), first.get(u, len(fam1)), u))
 
     # edges indexed by their last vertex in assignment order: the full-image
     # check fires exactly once per edge
@@ -115,7 +110,8 @@ def is_isomorphic(h1: MixedHypergraph, h2: MixedHypergraph) -> dict[int, int] | 
     d = 0
     while d < n:  # order[:d] is placed
         u = order[d]
-        pool = pools[sig1[u]]
+        row1 = pc1[u]
+        pool = pool_of[u]
         i = tried[d]
         while i < len(pool):
             v = pool[i]
@@ -123,6 +119,9 @@ def is_isomorphic(h1: MixedHypergraph, h2: MixedHypergraph) -> dict[int, int] | 
             if used[v]:
                 continue
             image[u] = v
+            row2 = pc2[v]
+            if any(row1[x] != row2[image[x]] for x in order[:d + 1]):
+                continue
             for e, flags in completes[u]:
                 if fam2.get(tuple(sorted(image[w] for w in e))) != flags:
                     break

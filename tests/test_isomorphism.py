@@ -1,6 +1,8 @@
 """Isomorphism search: witnesses, rejections, and the size guard."""
 
 import random
+import time
+from itertools import combinations
 
 import pytest
 from conftest import random_mixed_hypergraph, witness_is_isomorphism
@@ -18,6 +20,7 @@ from bihyper import (
 
 H33 = product_bihypergraph(DimsSpec.of(3, 3))
 H43 = product_bihypergraph(DimsSpec.of(4, 3))
+H333 = product_bihypergraph(DimsSpec.of(3, 3, 3))
 
 
 def relabeled(h, perm):
@@ -31,8 +34,19 @@ def relabeled(h, perm):
     )
 
 
+def stripped(h, seed):
+    """Relabel h by a seeded permutation and give it bare 1-tuple coordinates."""
+    perm = list(range(h.n))
+    random.Random(seed).shuffle(perm)
+    return make_mixed_hypergraph(
+        [(i + 1,) for i in range(h.n)],
+        [tuple(perm[v] for v in e) for e in h.c_edges],
+        [tuple(perm[v] for v in e) for e in h.d_edges],
+    )
+
+
 def test_reflexive_on_products():
-    for h in (H33, H43):
+    for h in (H33, H43, H333):
         witness = is_isomorphic(h, h)
         assert witness is not None
         assert witness_is_isomorphism(h, h, witness)
@@ -64,11 +78,23 @@ def test_different_degree_profiles_not_isomorphic():
     path = make_mixed_hypergraph(verts, [(0, 1), (1, 2)], [(0, 1), (1, 2)])
     matching = make_mixed_hypergraph(verts, [(0, 1), (2, 3)], [(0, 1), (2, 3)])
     assert is_isomorphic(path, matching) is None
+    # the (3,3,3) product with one edge swapped for a non-edge keeps its
+    # vertex and edge counts
+    rng = random.Random(23)
+    edges = set(H333.c_edges)
+    non_edges = [e for e in combinations(range(H333.n), 3) if e not in edges]
+    edges.remove(rng.choice(H333.c_edges))
+    edges.add(rng.choice(non_edges))
+    near = make_mixed_hypergraph(H333.vertices, sorted(edges), sorted(edges))
+    near = stripped(near, 29)
+    assert is_isomorphic(H333, near) is None
+    assert is_isomorphic(near, H333) is None
 
 
 def test_equal_signatures_exhaust_the_search():
-    # a 6-cycle and two triangles: every vertex sees two 2-edges whose other
-    # ends look the same, so only the backtracking search tells them apart
+    # a 6-cycle and two triangles: every vertex lies in two 2-edges and its
+    # pair counts read the same in both, so only the backtracking search
+    # tells them apart
     verts = [(i + 1,) for i in range(6)]
     cycle = make_mixed_hypergraph(verts, [(i, (i + 1) % 6) for i in range(6)], [])
     triangles = make_mixed_hypergraph(
@@ -128,25 +154,25 @@ def test_diagonal_slice_matches_smaller_product():
     assert witness_is_isomorphism(slice_, H43, witness)
 
 
-def test_coordinates_do_not_matter_for_isomorphism():
-    # same structure carried by 2-tuple coordinates on one side and bare
-    # 1-tuple indices on the other
-    perm = list(range(12))
-    random.Random(17).shuffle(perm)
-    generic = make_mixed_hypergraph(
-        [(i + 1,) for i in range(12)],
-        [tuple(perm[v] for v in e) for e in H43.c_edges],
-        [tuple(perm[v] for v in e) for e in H43.d_edges],
-    )
-    witness = is_isomorphic(H43, generic)
-    assert witness is not None
-    assert witness_is_isomorphism(H43, generic, witness)
+@pytest.mark.parametrize("dims", [(4, 3), (6, 5), (3, 3, 3)], ids=["4x3", "6x5", "3x3x3"])
+def test_coordinates_do_not_matter_for_isomorphism(dims):
+    # same structure carried by product coordinates on one side and bare
+    # 1-tuple indices on the other, found within a budget both ways
+    h = product_bihypergraph(DimsSpec.of(*dims))
+    generic = stripped(h, 17)
+    for h1, h2 in ((h, generic), (generic, h)):
+        start = time.perf_counter()
+        witness = is_isomorphic(h1, h2)
+        assert time.perf_counter() - start < 2.0
+        assert witness is not None
+        assert witness_is_isomorphism(h1, h2, witness)
 
 
 def test_size_guard_refuses_large_instances(monkeypatch):
     big = make_mixed_hypergraph([(i + 1,) for i in range(40)], [], [])
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as info:
         is_isomorphic(big, big)
+    assert info.value.stats == {"vertices": 40, "max_vertices": 32}
     monkeypatch.setattr(isomorphism, "MAX_VERTICES", 40)
     witness = is_isomorphic(big, big)
     assert witness is not None
