@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from math import prod
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -157,18 +158,24 @@ class MixedHypergraph:
 
 
 def _canonical_edges(edges: Iterable[Iterable[int]], n: int, family: str) -> tuple[Edge, ...]:
-    canon: set[Edge] = set()
-    for raw in edges:
-        e = tuple(raw)
-        if len(e) < 2:
-            raise ValueError(f"{family}-edge {e!r} has fewer than 2 vertices")
-        for v in e:
-            if type(v) is not int or not 0 <= v < n:  # type(): bool is not an index
-                raise ValueError(f"{family}-edge {e!r} references invalid vertex index {v!r}")
-        if len(set(e)) != len(e):
-            raise ValueError(f"{family}-edge {e!r} has a repeated vertex")
-        canon.add(tuple(sorted(e)))
-    return tuple(sorted(canon))
+    """Checked in bulk; only a failing list is walked edge by edge, to name its first bad edge."""
+    raw: list[Edge] = []
+    try:
+        raw.extend(map(tuple, edges))
+    finally:  # a non-iterable edge raises TypeError, unless an edge before it is bad
+        if not (min(map(len, raw), default=2) >= 2
+                and set(map(type, chain.from_iterable(raw))) <= {int}  # before dedupe: True == 1
+                and set(chain.from_iterable(raw)).issubset(range(n))
+                and sum(map(len, raw)) == sum(map(len, map(set, raw)))):
+            for e in raw:
+                if len(e) < 2:
+                    raise ValueError(f"{family}-edge {e!r} has fewer than 2 vertices")
+                for v in e:
+                    if type(v) is not int or not 0 <= v < n:  # type(): bool is not an index
+                        raise ValueError(f"{family}-edge {e!r} references invalid vertex index {v!r}")
+                if len(set(e)) != len(e):
+                    raise ValueError(f"{family}-edge {e!r} has a repeated vertex")
+    return tuple(sorted(dict.fromkeys(map(tuple, map(sorted, raw)))))
 
 
 def make_mixed_hypergraph(
@@ -398,7 +405,8 @@ def derived_subhypergraph(h: MixedHypergraph, subset: Iterable[int]) -> MixedHyp
 #
 # {"dims": [n1,...,ns] | null, "vertices": [[c1,...,cs],...],
 #  "c_edges": [[i,j,k],...], "d_edges": [...]}
-# with 0-based indices and edges sorted ascending.
+# with 0-based indices and edges sorted ascending. Files hold one key per line,
+# its value on that line: `indent` would turn off json's C encoder.
 
 
 def to_json_dict(h: MixedHypergraph) -> dict:
@@ -416,7 +424,7 @@ def _json_lists(data: Mapping, key: str) -> list:
         value = data[key]
     except KeyError:
         raise ValueError(f"hypergraph JSON is missing key {key!r}") from None
-    if not isinstance(value, list) or not all(isinstance(item, list) for item in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(list))):
         raise ValueError(f"hypergraph JSON key {key!r} must be a list of lists")
     return value
 
@@ -436,7 +444,8 @@ def from_json_dict(data: Mapping) -> MixedHypergraph:
 
 
 def save_hypergraph(h: MixedHypergraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_json_dict(h), indent=1) + "\n")
+    lines = (f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in to_json_dict(h).items())
+    Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 def load_hypergraph(path: str | Path) -> MixedHypergraph:

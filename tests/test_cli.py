@@ -15,6 +15,7 @@ from bihyper import (
     load_hypergraph,
     product_bihypergraph,
     save_hypergraph,
+    to_json_dict,
 )
 from bihyper.cli import run
 
@@ -74,6 +75,31 @@ def test_export_canonicalizes(tmp_path, capsys):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["c_edges"] == [[0, 1], [0, 1, 2]]
+
+
+def test_written_files_put_one_key_per_line(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert invoke(capsys, "construct", "product", "4", "3", "--out", str(a))[0] == 0
+    assert invoke(capsys, "export", str(a), "--out", str(b))[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+    h = product_bihypergraph(DimsSpec.of(4, 3))
+    lines = a.read_text().splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    # each inner line is one whole key: value pair, in the README's key order
+    pairs = [json.loads("{" + line.rstrip(",") + "}") for line in lines[1:-1]]
+    assert [key for pair in pairs for key in pair] == ["dims", "vertices", "c_edges", "d_edges"]
+    assert {k: v for pair in pairs for k, v in pair.items()} == to_json_dict(h)
+    assert load_hypergraph(a) == h
+
+
+def test_files_in_the_indented_layout_still_load(tmp_path, capsys):
+    h = product_bihypergraph(DimsSpec.of(4, 3))
+    old, exported, saved = (tmp_path / name for name in ("old.json", "exported.json", "saved.json"))
+    old.write_text(json.dumps(to_json_dict(h), indent=1) + "\n")  # one number per line
+    assert load_hypergraph(old) == h
+    assert invoke(capsys, "export", str(old), "--out", str(exported))[0] == 0
+    save_hypergraph(h, saved)
+    assert exported.read_bytes() == saved.read_bytes()
 
 
 # --- spectrum / feasible ---------------------------------------------------------
@@ -217,6 +243,18 @@ def test_verify_thm24_enumerate(capsys):
         "failures": [],
         "verified": True,
     }
+
+
+def test_verify_thm24_enumerate_on_120_vertices(capsys):
+    # every non-edge of the (6,5,4) product, C(120, 3) - 28,800, with the cap raised
+    code, stdout, _ = invoke(
+        capsys, "verify", "thm24", "6", "5", "4",
+        "--mode", "enumerate", "--max-vertices", "120", "--json",
+    )
+    assert code == 0
+    data = json.loads(stdout.splitlines()[-1])
+    assert data["tested_triples"] == 252_040
+    assert data["failures"] == [] and data["verified"] is True
 
 
 def test_verify_size_bound(capsys):

@@ -1,6 +1,7 @@
 """Core model: construction, predicates, partitions, spectra, JSON format."""
 
 import json
+import re
 
 import pytest
 from conftest import (
@@ -68,21 +69,35 @@ def test_edges_canonically_sorted():
     assert h.c_edges == ((0, 1), (0, 2))
 
 
+BAD_EDGES = [
+    ([(3, 3, 5)], "C-edge (3, 3, 5) has a repeated vertex"),
+    ([(0,)], "C-edge (0,) has fewer than 2 vertices"),
+    ([(0, 99)], "C-edge (0, 99) references invalid vertex index 99"),
+    ([(0, -1)], "C-edge (0, -1) references invalid vertex index -1"),
+    # indices must be ints, and bool is not an index
+    ([("0", 1, 2)], "C-edge ('0', 1, 2) references invalid vertex index '0'"),
+    ([(False, True, 2)], "C-edge (False, True, 2) references invalid vertex index False"),
+    # True == 1: merging duplicates before the type check would accept this list
+    ([(0, 1, 2), (0, True, 2)], "C-edge (0, True, 2) references invalid vertex index True"),
+    ([(0, 1.0, 2)], "C-edge (0, 1.0, 2) references invalid vertex index 1.0"),
+    # the message names the first bad edge, not a valid one or a later one
+    ([(0, 1, 2), (4, 4, 5), (0,)], "C-edge (4, 4, 5) has a repeated vertex"),
+]
+
+
 @pytest.mark.parametrize(
-    "c_edges",
-    [
-        [(3, 3, 5)],  # repeated vertex
-        [(0,)],  # too small
-        [(0, 99)],  # out of range
-        [(0, -1)],
-        [("0", 1, 2)],  # indices must be ints
-        [(False, True, 2)],  # bool is not an index
-    ],
+    "c_edges, message", BAD_EDGES, ids=[f"c_edges{i}" for i in range(len(BAD_EDGES))]
 )
-def test_bad_edges_rejected(c_edges):
+def test_bad_edges_rejected(c_edges, message):
     verts = [(i,) for i in range(1, 7)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make_mixed_hypergraph(verts, c_edges, [])
+
+
+def test_bad_d_edge_names_its_family():
+    verts = [(i,) for i in range(1, 7)]
+    with pytest.raises(ValueError, match=r"^D-edge \(1, 6\) references invalid vertex index 6$"):
+        make_mixed_hypergraph(verts, [(0, 1)], [(0, 1), (1, 6)])
 
 
 def test_bad_vertices_rejected():

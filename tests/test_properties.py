@@ -128,6 +128,21 @@ def test_product_builder_matches_triple_scan(dims):
     assert list(h.bi_edges) == oracle_scan_edges(h.vertices)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_edges_canonicalized_to_their_sorted_set(data):
+    n = data.draw(st.integers(min_value=2, max_value=8))
+    edge = st.lists(st.integers(min_value=0, max_value=n - 1),
+                    min_size=2, max_size=min(4, n), unique=True)
+    base = data.draw(st.lists(edge, min_size=1, max_size=10))
+    picks = data.draw(st.lists(st.sampled_from(base), max_size=25))  # repeats edges
+    # members shuffled; each edge a tuple, a list or a generator
+    kinds = st.sampled_from([tuple, list, lambda e: (v for v in e)])
+    edges = [data.draw(kinds)(data.draw(st.permutations(e))) for e in picks]
+    h = make_mixed_hypergraph([(i + 1,) for i in range(n)], edges, [])
+    assert h.c_edges == tuple(sorted({tuple(sorted(e)) for e in picks}))
+
+
 @settings(max_examples=25, deadline=None)
 @given(mixed_hypergraphs(max_vertices=7, max_edges=10),
        st.randoms(use_true_random=False))
