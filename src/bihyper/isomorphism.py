@@ -44,7 +44,7 @@ def check_isomorphism(
     h1: MixedHypergraph, h2: MixedHypergraph, mapping: dict[int, int]
 ) -> bool:
     """Validate a witness: bijection whose edge images match family by family."""
-    if len(mapping) != h1.n or h2.n != h1.n:
+    if h2.n != h1.n or sorted(mapping) != list(range(h1.n)):
         return False
     if sorted(mapping.values()) != list(range(h2.n)):
         return False

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import prod
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -157,16 +158,37 @@ class MixedHypergraph:
         )
 
 
+def _ascending_in_range(raw: list[Edge], n: int) -> bool:
+    """For edges of int members: True iff all have one size >= 2 and members
+    strictly ascending within 0..n-1. Checked column by column in C passes, so
+    no edge is sorted or made a set; an `itemgetter` per column allocates
+    nothing per edge, where `zip(*raw)` would make one iterator per edge."""
+    first = raw[0] if raw else ()
+    if len(first) < 2 or not all(map(lt, first, first[1:])):  # O(1) exit for unsorted edges
+        return False
+    if set(map(len, raw)) != {len(first)}:
+        return False
+    col = [itemgetter(i) for i in range(len(first))]
+    return (all(all(map(lt, map(a, raw), map(b, raw))) for a, b in zip(col, col[1:]))
+            and min(map(col[0], raw)) >= 0 and max(map(col[-1], raw)) < n)
+
+
 def _canonical_edges(edges: Iterable[Iterable[int]], n: int, family: str) -> tuple[Edge, ...]:
-    """Checked in bulk; only a failing list is walked edge by edge, to name its first bad edge."""
+    """Checked in bulk; only a failing list is walked edge by edge, to name its first bad edge.
+
+    Ascending edges are not sorted again, and a list of them that is already
+    strictly increasing, as the constructions emit it, is returned as it is.
+    """
     raw: list[Edge] = []
     try:
         raw.extend(map(tuple, edges))
     finally:  # a non-iterable edge raises TypeError, unless an edge before it is bad
-        if not (min(map(len, raw), default=2) >= 2
-                and set(map(type, chain.from_iterable(raw))) <= {int}  # before dedupe: True == 1
-                and set(chain.from_iterable(raw)).issubset(range(n))
-                and sum(map(len, raw)) == sum(map(len, map(set, raw)))):
+        ints = set(map(type, chain.from_iterable(raw))) <= {int}  # before dedupe: True == 1
+        ascending = ints and _ascending_in_range(raw, n)
+        if not (ascending or (ints
+                              and min(map(len, raw), default=2) >= 2
+                              and set(chain.from_iterable(raw)).issubset(range(n))
+                              and sum(map(len, raw)) == sum(map(len, map(set, raw))))):
             for e in raw:
                 if len(e) < 2:
                     raise ValueError(f"{family}-edge {e!r} has fewer than 2 vertices")
@@ -175,7 +197,11 @@ def _canonical_edges(edges: Iterable[Iterable[int]], n: int, family: str) -> tup
                         raise ValueError(f"{family}-edge {e!r} references invalid vertex index {v!r}")
                 if len(set(e)) != len(e):
                     raise ValueError(f"{family}-edge {e!r} has a repeated vertex")
-    return tuple(sorted(dict.fromkeys(map(tuple, map(sorted, raw)))))
+    if not ascending:
+        return tuple(sorted(dict.fromkeys(map(tuple, map(sorted, raw)))))
+    if all(map(lt, raw, islice(raw, 1, None))):  # strictly increasing: sorted, no duplicate
+        return tuple(raw)
+    return tuple(sorted(dict.fromkeys(raw)))
 
 
 def make_mixed_hypergraph(

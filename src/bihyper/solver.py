@@ -51,7 +51,7 @@ __all__ = [
 BRUTE_FORCE_MAX_VERTICES = 12
 # about 0.6 GB of partitions at the ~0.6 KB each measured on edgeless 10
 MAX_COLLECTED_PARTITIONS = 1_000_000
-_TIME_CHECK_MASK = 0xFFF  # poll the clock every 4096 search nodes
+_TIME_CHECK_MASK = 0xFFF  # poll the clock every 4096 search nodes or non-edge triples
 
 
 @dataclass(frozen=True)
@@ -370,10 +370,15 @@ def verify_edge_maximality(
 
     enumerate mode: the labelings are all feasible partitions, enumerated once.
     Exact, but only viable within the enumeration caps.
+
+    `cfg.time_budget` counts from the start of the call and bounds the scan
+    too: the clock is read once per block of 4096 triples, and running out
+    raises `CapExceeded` with the number of non-edges `tested` so far.
     """
     if mode not in ("proof", "enumerate"):
         raise ValueError(f"mode must be 'proof' or 'enumerate', got {mode!r}")
     cfg = cfg or EnumerationConfig()
+    start = time.perf_counter()
     h = product_bihypergraph(d)
     edge_set = set(h.bi_edges)
     failures: list[tuple[int, int, int]] = []
@@ -385,13 +390,24 @@ def verify_edge_maximality(
         labelings = [p.label_map() for p in partitions]
     else:
         labelings = list(zip(*h.vertices))  # one coordinate tuple per axis
-    for triple in itertools.combinations(range(h.n), 3):
-        if triple in edge_set:
-            continue
-        tested += 1
-        if all(len({lab[v] for v in triple}) == 2 for lab in labelings):
-            failures.append(triple)
-    expected = comb(h.n, 3) - len(edge_set)
+    triples = itertools.combinations(range(h.n), 3)
+    total = comb(h.n, 3)
+    expected = total - len(edge_set)
+    budget = cfg.time_budget
+    # without a budget the scan is one block, so no triple pays for the clock
+    block = total if budget is None else _TIME_CHECK_MASK + 1
+    for _ in range(0, total, block):
+        if budget is not None and time.perf_counter() - start > budget:
+            raise CapExceeded(
+                "time budget exceeded during the non-edge scan",
+                stats={"tested": tested, "non_edges": expected},
+            )
+        for triple in itertools.islice(triples, block):
+            if triple in edge_set:
+                continue
+            tested += 1
+            if all(len({lab[v] for v in triple}) == 2 for lab in labelings):
+                failures.append(triple)
     if tested != expected:  # pragma: no cover - accounting self-check
         raise AssertionError(f"tested {tested} non-edges, expected {expected}")
     return MaximalityReport(

@@ -403,6 +403,16 @@ def test_time_budget_abort_exit_code(tmp_path, capsys):
     assert "aborted" in stderr
 
 
+def test_thm24_time_budget_bounds_the_non_edge_scan(capsys):
+    # proof mode enumerates nothing: the budget must stop the scan itself
+    code, stdout, stderr = invoke(
+        capsys, "verify", "thm24", "6", "5", "4", "--max-vertices", "120", "--time-budget", "0.001"
+    )
+    assert code == 3
+    assert "aborted:" in stderr and "Traceback" not in stderr
+    assert "VERIFIED" not in stdout
+
+
 def test_nan_time_budget_is_input_error(tmp_path, capsys):
     # NaN compares false with everything, so it would never trip the deadline
     path = tmp_path / "h33.json"

@@ -194,6 +194,8 @@ def test_check_isomorphism_rejects_bad_witnesses():
     assert check_isomorphism(H33, H33, witness)
     assert not check_isomorphism(H33, H33, {})
     assert not check_isomorphism(H33, H33, {i: 0 for i in range(H33.n)})
+    # the right values under a key that is no vertex: refused, not a KeyError
+    assert not check_isomorphism(H33, H33, {99 if i == 0 else i: i for i in range(H33.n)})
     # swapping vertices 0 and 1 is not an automorphism of the 3x3 product
     # (it turns {(1,1),(1,3),(2,1)} into a rainbow second coordinate), so
     # composing any witness with that transposition must fail validation

@@ -82,6 +82,10 @@ BAD_EDGES = [
     ([(0, 1.0, 2)], "C-edge (0, 1.0, 2) references invalid vertex index 1.0"),
     # the message names the first bad edge, not a valid one or a later one
     ([(0, 1, 2), (4, 4, 5), (0,)], "C-edge (4, 4, 5) has a repeated vertex"),
+    # a bad edge inside an otherwise canonical list (one size, ascending, in order)
+    ([(0, 1, 2), (0, True, 3), (1, 2, 3)], "C-edge (0, True, 3) references invalid vertex index True"),
+    ([(-1, 1, 2), (0, 1, 2), (1, 2, 3)], "C-edge (-1, 1, 2) references invalid vertex index -1"),
+    ([(0, 1, 2), (1, 2, 3), (3, 4, 6)], "C-edge (3, 4, 6) references invalid vertex index 6"),
 ]
 
 
@@ -92,6 +96,15 @@ def test_bad_edges_rejected(c_edges, message):
     verts = [(i,) for i in range(1, 7)]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make_mixed_hypergraph(verts, c_edges, [])
+
+
+def test_non_iterable_edge_after_canonical_prefix_raises_type_error():
+    # the check of the edges read so far must not swallow the TypeError
+    verts = [(i,) for i in range(1, 7)]
+    with pytest.raises(TypeError):
+        make_mixed_hypergraph(verts, [(0, 1, 2), (1, 2, 3), 5], [])
+    with pytest.raises(TypeError):
+        make_mixed_hypergraph(verts, (e for e in [(0, 1, 2), (1, 2, 3), None]), [])
 
 
 def test_bad_d_edge_names_its_family():

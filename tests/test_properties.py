@@ -135,10 +135,25 @@ def test_edges_canonicalized_to_their_sorted_set(data):
     edge = st.lists(st.integers(min_value=0, max_value=n - 1),
                     min_size=2, max_size=min(4, n), unique=True)
     base = data.draw(st.lists(edge, min_size=1, max_size=10))
-    picks = data.draw(st.lists(st.sampled_from(base), max_size=25))  # repeats edges
-    # members shuffled; each edge a tuple, a list or a generator
-    kinds = st.sampled_from([tuple, list, lambda e: (v for v in e)])
-    edges = [data.draw(kinds)(data.draw(st.permutations(e))) for e in picks]
+    if data.draw(st.booleans()):
+        picks = data.draw(st.lists(st.sampled_from(base), max_size=25))  # repeats edges
+        # members shuffled; each edge a tuple, a list or a generator
+        kinds = st.sampled_from([tuple, list, lambda e: (v for v in e)])
+        edges = [data.draw(kinds)(data.draw(st.permutations(e))) for e in picks]
+    else:
+        # already canonical (one size, ascending, strictly increasing), as the
+        # constructions emit it, possibly with one defect planted at edge i
+        size = len(base[0])
+        picks = sorted({tuple(sorted(e)) for e in base if len(e) == size})
+        i = data.draw(st.integers(min_value=0, max_value=len(picks) - 1))
+        defect = data.draw(st.sampled_from(["none", "edge order", "duplicate", "member order"]))
+        if defect == "edge order" and i + 1 < len(picks):
+            picks[i], picks[i + 1] = picks[i + 1], picks[i]
+        elif defect == "duplicate":
+            picks.insert(i, picks[i])
+        elif defect == "member order":
+            picks[i] = picks[i][::-1]
+        edges = data.draw(st.sampled_from([picks, [list(e) for e in picks]]))
     h = make_mixed_hypergraph([(i + 1,) for i in range(n)], edges, [])
     assert h.c_edges == tuple(sorted({tuple(sorted(e)) for e in picks}))
 

@@ -399,6 +399,15 @@ def test_maximality_enumerate_respects_caps():
         verify_edge_maximality(DimsSpec.of(3, 3), cfg, mode="enumerate")
 
 
+def test_maximality_scan_respects_time_budget():
+    # the (6,5,4) proof-mode scan of 252,040 non-edges takes well over 0.1 s
+    # and enumerates nothing, so only the scan can spend the budget
+    cfg = EnumerationConfig(max_vertices=120, time_budget=0.001)
+    with pytest.raises(CapExceeded, match="non-edge scan") as err:
+        verify_edge_maximality(DimsSpec.of(6, 5, 4), cfg, mode="proof")
+    assert 0 <= err.value.stats["tested"] < 252_040
+
+
 # --- reduced equivalence ----------------------------------------------------------------------
 
 
