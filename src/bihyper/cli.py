@@ -82,10 +82,6 @@ def _parse_target(text: str) -> SpectrumTarget:
     return SpectrumTarget.of(pairs)
 
 
-def _config(args: argparse.Namespace) -> EnumerationConfig:
-    return EnumerationConfig(max_vertices=args.max_vertices, time_budget=args.time_budget)
-
-
 def _emit_hypergraph(h: MixedHypergraph, label: str, args: argparse.Namespace) -> int:
     if args.out:
         save_hypergraph(h, args.out)
@@ -114,7 +110,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     h = load_hypergraph(args.file)
-    sp = chromatic_spectrum(h, _config(args))
+    sp = chromatic_spectrum(h, args.cfg)
     if args.json:
         print(json.dumps(sp.as_report()))
     else:
@@ -131,7 +127,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_feasible(args: argparse.Namespace) -> int:
     h = load_hypergraph(args.file)
-    sp = chromatic_spectrum(h, _config(args))
+    sp = chromatic_spectrum(h, args.cfg)
     if args.json:
         report = sp.as_report()
         del report["spectrum"]
@@ -158,7 +154,7 @@ def _verify_spectrum_claim(name: str, d: DimsSpec, args: argparse.Namespace) -> 
     """Shared body for the spectrum-equality claims on the product family."""
     expected = predicted_spectrum(d)
     _print_claim(name, f"dims={d.dims}")
-    actual = chromatic_spectrum(product_bihypergraph(d), _config(args))
+    actual = chromatic_spectrum(product_bihypergraph(d), args.cfg)
     verified = actual == expected
     if verified:
         line = f"VERIFIED: R(H)={fmt_spectrum(actual)}, Phi={fmt_set(actual.feasible_set)}"
@@ -197,7 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if name == "thm24":
         d = _parse_dims(args.dims)
         _print_claim(name, f"dims={d.dims}, mode={args.mode}")
-        report = verify_edge_maximality(d, _config(args), mode=args.mode)
+        report = verify_edge_maximality(d, args.cfg, mode=args.mode)
         if report.ok:
             line = f"VERIFIED: {report.tested_triples} non-edges tested, 0 failures"
         else:
@@ -217,7 +213,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if name == "lemma31" and d.s != 2:
             raise ValueError(f"lemma31 takes exactly 2 dimensions, got {d.dims}")
         _print_claim(name, f"dims={d.dims}")
-        report = verify_reduced_equivalence(d, _config(args))
+        report = verify_reduced_equivalence(d, args.cfg)
         if report.note:
             print(f"note: {report.note}", file=sys.stderr)
         reduced = fmt_spectrum(report.reduced_spectrum)
@@ -343,6 +339,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exit_:  # argparse handles --help and usage errors
         return int(exit_.code or 0)
     try:
+        if "max_vertices" in args:  # built before any output, so a bad cap prints nothing
+            args.cfg = EnumerationConfig(args.max_vertices, args.time_budget)
         return args.func(args)
     except CapExceeded as err:
         print(f"aborted: {err}", file=sys.stderr)

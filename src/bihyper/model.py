@@ -159,14 +159,14 @@ class MixedHypergraph:
 
 
 def _ascending_in_range(raw: list[Edge], n: int) -> bool:
-    """For edges of int members: True iff all have one size >= 2 and members
-    strictly ascending within 0..n-1. Checked column by column in C passes, so
-    no edge is sorted or made a set; an `itemgetter` per column allocates
-    nothing per edge, where `zip(*raw)` would make one iterator per edge."""
+    """True iff all members are ints (checked before any comparison), all edges
+    have one size >= 2 and members ascend strictly within 0..n-1. Column by
+    column in C passes: an `itemgetter` per column allocates nothing per edge,
+    where `zip(*raw)` would make one iterator per edge."""
     first = raw[0] if raw else ()
-    if len(first) < 2 or not all(map(lt, first, first[1:])):  # O(1) exit for unsorted edges
+    if len(first) < 2 or set(map(type, chain.from_iterable(raw))) != {int}:
         return False
-    if set(map(len, raw)) != {len(first)}:
+    if not all(map(lt, first, first[1:])) or set(map(len, raw)) != {len(first)}:
         return False
     col = [itemgetter(i) for i in range(len(first))]
     return (all(all(map(lt, map(a, raw), map(b, raw))) for a, b in zip(col, col[1:]))
@@ -174,7 +174,7 @@ def _ascending_in_range(raw: list[Edge], n: int) -> bool:
 
 
 def _canonical_edges(edges: Iterable[Iterable[int]], n: int, family: str) -> tuple[Edge, ...]:
-    """Checked in bulk; only a failing list is walked edge by edge, to name its first bad edge.
+    """Checked in bulk if every edge ascends, else walked edge by edge to name its first bad edge.
 
     Ascending edges are not sorted again, and a list of them that is already
     strictly increasing, as the constructions emit it, is returned as it is.
@@ -183,12 +183,8 @@ def _canonical_edges(edges: Iterable[Iterable[int]], n: int, family: str) -> tup
     try:
         raw.extend(map(tuple, edges))
     finally:  # a non-iterable edge raises TypeError, unless an edge before it is bad
-        ints = set(map(type, chain.from_iterable(raw))) <= {int}  # before dedupe: True == 1
-        ascending = ints and _ascending_in_range(raw, n)
-        if not (ascending or (ints
-                              and min(map(len, raw), default=2) >= 2
-                              and set(chain.from_iterable(raw)).issubset(range(n))
-                              and sum(map(len, raw)) == sum(map(len, map(set, raw))))):
+        ascending = _ascending_in_range(raw, n)
+        if not ascending:
             for e in raw:
                 if len(e) < 2:
                     raise ValueError(f"{family}-edge {e!r} has fewer than 2 vertices")

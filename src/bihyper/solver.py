@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Callable, Iterator
 
@@ -51,7 +51,7 @@ __all__ = [
 BRUTE_FORCE_MAX_VERTICES = 12
 # about 0.6 GB of partitions at the ~0.6 KB each measured on edgeless 10
 MAX_COLLECTED_PARTITIONS = 1_000_000
-_TIME_CHECK_MASK = 0xFFF  # poll the clock every 4096 search nodes or non-edge triples
+_CLOCK_EVERY = 4096  # work per clock read: class tries plus edges scanned, or non-edges
 
 
 @dataclass(frozen=True)
@@ -85,38 +85,39 @@ def _search(
     Forward checking after Haralick & Elliott (1980), with fewest-choices
     branching and degree tie-breaks as in Brelaz's DSATUR (1979).
 
-    Each vertex v carries two class bitmasks: `req[v]`, the classes it must
-    take one of (-1: any), and `forb[v]`, the classes it must avoid. Every
-    edge keeps a count of its uncolored members. Once a colored vertex leaves
-    an edge with one uncolored member w, a unit rule narrows w:
+    Each vertex v carries one class bitmask `dom[v]`, the classes it may
+    still take (-1 at the start: every class, fresh ones too). Every edge
+    keeps a count of its uncolored members. Once a colored vertex leaves an
+    edge with one uncolored member w, a unit rule narrows w:
 
     * C-edge whose colored members have pairwise distinct colors: w must
-      reuse one of them (`req[w] &= their classes`);
+      reuse one of them (`dom[w] &= their classes`);
     * D-edge whose colored members share one color: w must avoid it
-      (`forb[w] |= that class`).
+      (`dom[w] &= ~that class`).
 
-    A vertex left with no class prunes the branch (a wipeout). Each narrowing
-    goes on a trail and is undone on backtrack. Every edge thus passes the
-    rules before its last member is colored, so a finished edge needs no
-    check. The search branches on the free vertex with the fewest allowed
-    classes; ties go to the vertex in more edges, then to the lower index, so
-    a contradiction among busy vertices is met before the idle ones are
-    enumerated. A vertex may take a used class or the one fresh class
-    `used`, so the labels are restricted-growth strings in branching order
-    and each partition is visited once.
+    A vertex left with no class prunes the branch (a wipeout). A narrowing
+    that changes a mask goes on a trail and is undone on backtrack. Every
+    edge thus passes the rules before its last member is colored, so a
+    finished edge needs no check. The search branches on the free vertex
+    with the fewest allowed classes; ties go to the vertex in more edges,
+    then to the lower index, so a contradiction among busy vertices is met
+    before the idle ones are enumerated. A vertex may take a used class or
+    the one fresh class `used`, so the labels are restricted-growth strings
+    in branching order and each partition is visited once.
 
     The rules have settled every edge of the last vertex v, so each class in
     its mask `allowed` completes a partition: `leaf(labels, v, allowed, fresh)`
     gets them at once, with `labels[v] == -1` and bit `fresh` opening a class.
     `labels` is reused: copy it to keep it, reset `labels[v]` after writing it.
-    `nodes` counts class tries above v, polling the clock every 4096; `found`
-    counts partitions. An explicit stack means no recursion limit.
+    `nodes` counts class tries above v and `found` partitions. Under a budget
+    the clock is read once per `_CLOCK_EVERY` tries plus edges they scanned.
     """
     if h.n > cfg.max_vertices:
         raise CapExceeded(
             f"hypergraph has {h.n} vertices, enumeration cap is {cfg.max_vertices}",
             stats={"vertices": h.n, "max_vertices": cfg.max_vertices},
         )
+    deadline = None if cfg.time_budget is None else time.perf_counter() + cfg.time_budget
     n = h.n
     edges, in_c, in_d = h.edge_table()
     left = [len(e) for e in edges]  # uncolored members per edge
@@ -130,21 +131,17 @@ def _search(
     for p, v in enumerate(order):
         rank[v] = p
     free = [True] * n  # free[p]: order[p] is not yet branched on
-    deadline = None
-    if cfg.time_budget is not None:
-        deadline = time.perf_counter() + cfg.time_budget
     labels = [-1] * n
-    req = [-1] * n
-    forb = [0] * n
+    dom = [-1] * n
     # narrowed: vertices whose masks differ from the start, in the order they
-    # first changed; trail: (vertex, previous req, previous forb) per change
+    # first changed; trail: (vertex, previous mask) per change
     narrowed: list[int] = []
-    trail: list[tuple[int, int, int]] = []
+    trail: list[tuple[int, int]] = []
     var = [0] * n  # var[d]: the vertex branched on at depth d
     mark = [0] * n  # mark[d]: trail length when var[d] was picked
     rest = [0] * n  # rest[d]: classes var[d] has yet to try, saved on going deeper
     used = [0] * n  # used[d]: classes opened above depth d
-    nodes = found = 0
+    nodes = found = work = 0
     last = n - 1
     d = 0
     while True:
@@ -157,10 +154,10 @@ def _search(
             size = used[d] + 1
             for w in narrowed:
                 if labels[w] < 0:
-                    dom = req[w] & ~forb[w] & top
-                    k = dom.bit_count()
+                    mask = dom[w] & top
+                    k = mask.bit_count()
                     if k < size or (k == size and rank[w] < rank[v]):
-                        v, allowed, size = w, dom, k
+                        v, allowed, size = w, mask, k
         if d == last:
             found += allowed.bit_count()  # no class tries: hand over the mask, back up
             leaf(labels, v, allowed, used[d])
@@ -191,21 +188,23 @@ def _search(
             # undo what the previous class here, and anything below it, trailed;
             # `trail and` spares the length call when nothing was ever trailed
             while trail and len(trail) > mark[d]:
-                w, r, f = trail.pop()
-                req[w] = r
-                forb[w] = f
-                if r == -1 and not f:
+                w, prev = trail.pop()
+                dom[w] = prev
+                if prev == -1:
                     narrowed.pop()  # undone in reverse order, so w is the last
             low = todo & -todo
             todo ^= low
             color = low.bit_length() - 1
             nodes += 1
-            if deadline is not None and nodes & _TIME_CHECK_MASK == 0:
-                if time.perf_counter() > deadline:
-                    raise CapExceeded(
-                        "time budget exceeded during enumeration",
-                        stats={"nodes": nodes, "found": found},
-                    )
+            if deadline is not None:
+                work += 1 + len(incident[v])
+                if work >= _CLOCK_EVERY:
+                    work = 0
+                    if time.perf_counter() > deadline:
+                        raise CapExceeded(
+                            "time budget exceeded during enumeration",
+                            stats={"nodes": nodes, "found": found},
+                        )
             labels[v] = color
             for i in incident[v]:
                 if left[i] != 1:
@@ -221,16 +220,18 @@ def _search(
                         distinct = False
                     else:
                         seen |= 1 << lab
-                r = req[w] & seen if in_c[i] and distinct else req[w]
-                f = forb[w] | seen if in_d[i] and not seen & (seen - 1) else forb[w]
-                if r == req[w] and f == forb[w]:
+                mask = prev = dom[w]
+                if in_c[i] and distinct:
+                    mask &= seen
+                if in_d[i] and not seen & (seen - 1):
+                    mask &= ~seen
+                if mask == prev:
                     continue
-                if req[w] == -1 and not forb[w]:
+                if prev == -1:
                     narrowed.append(w)
-                trail.append((w, req[w], forb[w]))
-                req[w] = r
-                forb[w] = f
-                if not r & ~f:
+                trail.append((w, prev))
+                dom[w] = mask
+                if not mask:
                     break  # wipeout: try the next class
             else:
                 rest[d] = todo
@@ -371,38 +372,42 @@ def verify_edge_maximality(
     enumerate mode: the labelings are all feasible partitions, enumerated once.
     Exact, but only viable within the enumeration caps.
 
-    `cfg.time_budget` counts from the start of the call and bounds the scan
-    too: the clock is read once per block of 4096 triples, and running out
-    raises `CapExceeded` with the number of non-edges `tested` so far.
+    `cfg.time_budget` is one deadline for the whole call, set at its start:
+    the enumeration runs under what the product build left of it, and the
+    scan reads the clock once per block of 4096 triples. Running out raises
+    `CapExceeded` with the number of non-edges `tested` so far.
     """
     if mode not in ("proof", "enumerate"):
         raise ValueError(f"mode must be 'proof' or 'enumerate', got {mode!r}")
     cfg = cfg or EnumerationConfig()
-    start = time.perf_counter()
+    deadline = None if cfg.time_budget is None else time.perf_counter() + cfg.time_budget
     h = product_bihypergraph(d)
     edge_set = set(h.bi_edges)
+    total = comb(h.n, 3)
+    expected = total - len(edge_set)
     failures: list[tuple[int, int, int]] = []
     tested = 0
     base = None
     if mode == "enumerate":
+        if deadline is not None:
+            left = deadline - time.perf_counter()
+            if left <= 0:
+                raise CapExceeded("time budget exceeded before the enumeration",
+                                  stats={"tested": 0, "non_edges": expected})
+            cfg = replace(cfg, time_budget=left)
         partitions = enumerate_feasible_partitions(h, cfg)
         base = ChromaticSpectrum.from_class_counts(Counter(p.num_classes for p in partitions))
         labelings = [p.label_map() for p in partitions]
     else:
         labelings = list(zip(*h.vertices))  # one coordinate tuple per axis
     triples = itertools.combinations(range(h.n), 3)
-    total = comb(h.n, 3)
-    expected = total - len(edge_set)
-    budget = cfg.time_budget
-    # without a budget the scan is one block, so no triple pays for the clock
-    block = total if budget is None else _TIME_CHECK_MASK + 1
-    for _ in range(0, total, block):
-        if budget is not None and time.perf_counter() - start > budget:
+    for _ in range(0, total, _CLOCK_EVERY):
+        if deadline is not None and time.perf_counter() > deadline:
             raise CapExceeded(
                 "time budget exceeded during the non-edge scan",
                 stats={"tested": tested, "non_edges": expected},
             )
-        for triple in itertools.islice(triples, block):
+        for triple in itertools.islice(triples, _CLOCK_EVERY):
             if triple in edge_set:
                 continue
             tested += 1

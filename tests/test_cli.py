@@ -422,6 +422,22 @@ def test_nan_time_budget_is_input_error(tmp_path, capsys):
     assert "error:" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "thm24", "3", "3", "--max-vertices", "0"),
+        # the file is missing too: the flag must be refused before it is opened
+        ("spectrum", "missing.json", "--time-budget", "nan"),
+    ],
+    ids=["thm24-max-vertices", "spectrum-time-budget"],
+)
+def test_bad_cap_flags_are_refused_before_any_output(argv, capsys):
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and ("max_vertices" in stderr or "time_budget" in stderr)
+
+
 def test_feasible_on_uncolorable_file(tmp_path, capsys):
     h = product_bihypergraph(DimsSpec.of(3, 3))
     index = {v: i for i, v in enumerate(h.vertices)}

@@ -6,6 +6,7 @@ import json
 import random
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from conftest import oracle_spectrum, random_mixed_hypergraph, stirling2
@@ -41,6 +42,20 @@ def h33_plus_diagonal():
     h = product_bihypergraph(DimsSpec.of(3, 3))
     index = {v: i for i, v in enumerate(h.vertices)}
     return h.with_bi_edge(index[v] for v in [(1, 1), (2, 2), (3, 3)])
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """A fake clock for the solver: each read returns `now`, then adds `tick` to it."""
+    fake = SimpleNamespace(now=0.0, tick=0.0, reads=0)
+
+    def perf_counter():
+        fake.reads += 1
+        fake.now += fake.tick
+        return fake.now - fake.tick
+
+    monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=perf_counter))
+    return fake
 
 
 # --- enumeration -----------------------------------------------------------------
@@ -136,7 +151,7 @@ def test_time_budget_aborts_with_stats():
 
 
 def test_time_budget_polls_the_clock_under_batched_leaves():
-    # about 10^10 partitions; leaves come in batches, but the clock is polled
+    # about 10^10 partitions; leaves come in batches, but the clock is read
     # every 4096 class tries above the last vertex, so the budget still trips
     cfg = EnumerationConfig(time_budget=0.2)
     start = time.perf_counter()
@@ -146,6 +161,20 @@ def test_time_budget_polls_the_clock_under_batched_leaves():
     stats = err.value.stats
     # nodes are class tries, not the partitions each leaf's mask holds
     assert 0 < stats["nodes"] < stats["found"]
+
+
+def test_time_budget_counts_the_edges_each_try_scans(clock):
+    # (5,4,3) needs 166 class tries, far fewer than 4096, but each scans about
+    # 288 incident edges: the clock must be read long before the search ends
+    h = product_bihypergraph(DimsSpec.of(5, 4, 3))
+    clock.tick = 1.0  # every read finds the last one's deadline passed
+    with pytest.raises(CapExceeded, match="during enumeration") as err:
+        chromatic_spectrum(h, EnumerationConfig(time_budget=0.5))
+    assert clock.reads == 2  # the deadline, then the first check
+    assert 0 < err.value.stats["nodes"] < 166
+    clock.reads = 0
+    assert chromatic_spectrum(h).counts[2:] == (1, 1, 1)  # no budget: no clock read
+    assert clock.reads == 0
 
 
 def test_search_hands_over_the_last_vertex_as_one_mask():
@@ -168,6 +197,13 @@ def test_search_hands_over_the_last_vertex_as_one_mask():
         (2, [], [(0, 1)], (0, 1)),  # D-edge: the last vertex must open a class
         (2, [(0, 1)], [], (1,)),  # C-edge: it must reuse the first one
         (2, [(0, 1)], [(0, 1)], ()),  # both: a wipeout, no leaf
+        # coloring 2 narrows 3 by the C-edge to {0, 1}, then by the D-edge to one class
+        (4, [(1, 2, 3)], [(0, 1), (2, 3)], (0, 2, 2)),
+        # 2 is narrowed to class 0 by a C-edge, and then the D-edge empties it
+        (3, [(0, 1), (0, 2)], [(1, 2)], ()),
+        # the D-edge {0, 2} and the C-edge {0, 1, 2} leave 2 class 1 only; the
+        # C-edge {1, 2} then narrows it to class 1 again, changing no allowed class
+        (3, [(0, 1, 2), (1, 2)], [(0, 1), (0, 2)], (0, 1)),
     ],
 )
 def test_shallow_leaves_match_brute_force(n, c_edges, d_edges, counts):
@@ -406,6 +442,33 @@ def test_maximality_scan_respects_time_budget():
     with pytest.raises(CapExceeded, match="non-edge scan") as err:
         verify_edge_maximality(DimsSpec.of(6, 5, 4), cfg, mode="proof")
     assert 0 <= err.value.stats["tested"] < 252_040
+
+
+def test_maximality_enumeration_runs_under_what_the_build_left(clock, monkeypatch):
+    # one deadline covers the whole call: the enumeration gets what the
+    # product build left of it, and none when the build has spent it all
+    budgets = []
+    build, enumerate_ = solver.product_bihypergraph, solver.enumerate_feasible_partitions
+
+    def slow_build(d):
+        clock.now += build_s
+        return build(d)
+
+    def spy(h, cfg):
+        budgets.append(cfg.time_budget)
+        return enumerate_(h, cfg)
+
+    monkeypatch.setattr(solver, "product_bihypergraph", slow_build)
+    monkeypatch.setattr(solver, "enumerate_feasible_partitions", spy)
+    cfg = EnumerationConfig(time_budget=0.5)
+    build_s = 0.3
+    assert verify_edge_maximality(DimsSpec.of(3, 3), cfg, mode="enumerate").ok
+    assert budgets == [pytest.approx(0.2)]
+    build_s = 0.5
+    with pytest.raises(CapExceeded, match="before the enumeration") as err:
+        verify_edge_maximality(DimsSpec.of(3, 3), cfg, mode="enumerate")
+    assert err.value.stats == {"tested": 0, "non_edges": 48}
+    assert len(budgets) == 1
 
 
 # --- reduced equivalence ----------------------------------------------------------------------
