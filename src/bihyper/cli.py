@@ -17,7 +17,6 @@ from .constructions import (
     product_bihypergraph,
     reduced_bihypergraph,
     reduced_vertex_set,
-    spectrum_instance,
 )
 from .model import (
     CapExceeded,
@@ -97,19 +96,13 @@ def _emit_hypergraph(h: MixedHypergraph, label: str, args: argparse.Namespace) -
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    if args.family == "product":
-        d = _parse_dims(args.dims)
-        return _emit_hypergraph(product_bihypergraph(d), f"product dims={d.dims}", args)
-    if args.family == "reduced":
-        d = _parse_dims(args.dims)
-        return _emit_hypergraph(reduced_bihypergraph(d), f"reduced dims={d.dims}", args)
-    target = _parse_target(args.set)
-    d, h = spectrum_instance(target)
-    return _emit_hypergraph(h, f"spectrum-instance dims={d.dims}", args)
+    # a spectrum instance is the product on its target's dims
+    build = reduced_bihypergraph if args.family == "reduced" else product_bihypergraph
+    return _emit_hypergraph(build(args.d), f"{args.family} dims={args.d.dims}", args)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    h = load_hypergraph(args.file)
+    h = args.h
     sp = chromatic_spectrum(h, args.cfg)
     if args.json:
         print(json.dumps(sp.as_report()))
@@ -126,8 +119,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_feasible(args: argparse.Namespace) -> int:
-    h = load_hypergraph(args.file)
-    sp = chromatic_spectrum(h, args.cfg)
+    sp = chromatic_spectrum(args.h, args.cfg)
     if args.json:
         report = sp.as_report()
         del report["spectrum"]
@@ -154,6 +146,7 @@ def _verify_spectrum_claim(name: str, d: DimsSpec, args: argparse.Namespace) -> 
     """Shared body for the spectrum-equality claims on the product family."""
     expected = predicted_spectrum(d)
     _print_claim(name, f"dims={d.dims}")
+    args.cfg.check_vertices(d.vertex_count)  # before the product is built
     actual = chromatic_spectrum(product_bihypergraph(d), args.cfg)
     verified = actual == expected
     if verified:
@@ -170,9 +163,8 @@ def _verify_spectrum_claim(name: str, d: DimsSpec, args: argparse.Namespace) -> 
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    name = args.claim
+    name, d = args.claim, args.d
     if name == "lemma21":
-        d = _parse_dims(args.dims)
         if d.s != 2:
             raise ValueError(f"lemma21 takes exactly 2 dimensions, got {d.dims}")
         if d.dims[0] == d.dims[1]:
@@ -180,18 +172,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         return _verify_spectrum_claim(name, d, args)
 
-    if name == "thm22":
-        d = _parse_dims(args.dims)
-        if len(set(d.dims)) != d.s:
-            raise ValueError(f"thm22 requires strictly decreasing dims, got {d.dims}")
+    if name == "thm22" and len(set(d.dims)) != d.s:
+        raise ValueError(f"thm22 requires strictly decreasing dims, got {d.dims}")
+    if name in ("thm22", "thm23"):
         return _verify_spectrum_claim(name, d, args)
 
-    if name == "thm23":
-        target = _parse_target(args.set)
-        return _verify_spectrum_claim(name, target.dims, args)
-
     if name == "thm24":
-        d = _parse_dims(args.dims)
         _print_claim(name, f"dims={d.dims}, mode={args.mode}")
         report = verify_edge_maximality(d, args.cfg, mode=args.mode)
         if report.ok:
@@ -208,38 +194,38 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "verified": report.ok,
         }, line)
 
-    if name in ("lemma31", "thm32"):
-        d = _parse_dims(args.dims)
-        if name == "lemma31" and d.s != 2:
-            raise ValueError(f"lemma31 takes exactly 2 dimensions, got {d.dims}")
-        _print_claim(name, f"dims={d.dims}")
-        report = verify_reduced_equivalence(d, args.cfg)
-        if report.note:
-            print(f"note: {report.note}", file=sys.stderr)
-        reduced = fmt_spectrum(report.reduced_spectrum)
-        if report.equal and report.full_source == "enumerated":
-            line = f"VERIFIED: R(H*)=R(H)={reduced}, |X*|={report.reduced_size}"
-        elif report.equal:
-            line = (f"VERIFIED: R(H*)={reduced} matches predicted R(H) "
-                    f"(full side beyond cap), |X*|={report.reduced_size}")
-        else:
-            line = (f"FAILED: R(H*)={reduced} differs from "
-                    f"{report.full_source} R(H)={fmt_spectrum(report.full_spectrum)}")
-        return _verdict(args, report.equal, {
-            "claim": name,
-            "dims": list(d.dims),
-            "verified": report.equal,
-            "reduced_spectrum": report.reduced_spectrum.as_report()["spectrum"],
-            "full_spectrum": report.full_spectrum.as_report()["spectrum"],
-            "full_source": report.full_source,
-            "reduced_size": report.reduced_size,
-        }, line)
+    # lemma31 or thm32
+    if name == "lemma31" and d.s != 2:
+        raise ValueError(f"lemma31 takes exactly 2 dimensions, got {d.dims}")
+    _print_claim(name, f"dims={d.dims}")
+    report = verify_reduced_equivalence(d, args.cfg)
+    if report.note:
+        print(f"note: {report.note}", file=sys.stderr)
+    reduced = fmt_spectrum(report.reduced_spectrum)
+    if report.equal and report.full_source == "enumerated":
+        line = f"VERIFIED: R(H*)=R(H)={reduced}, |X*|={report.reduced_size}"
+    elif report.equal:
+        line = (f"VERIFIED: R(H*)={reduced} matches predicted R(H) "
+                f"(full side beyond cap), |X*|={report.reduced_size}")
+    else:
+        line = (f"FAILED: R(H*)={reduced} differs from "
+                f"{report.full_source} R(H)={fmt_spectrum(report.full_spectrum)}")
+    return _verdict(args, report.equal, {
+        "claim": name,
+        "dims": list(d.dims),
+        "verified": report.equal,
+        "reduced_spectrum": report.reduced_spectrum.as_report()["spectrum"],
+        "full_spectrum": report.full_spectrum.as_report()["spectrum"],
+        "full_source": report.full_source,
+        "reduced_size": report.reduced_size,
+    }, line)
 
-    # size-bound sweep; an empty sweep would verify nothing
+
+def cmd_size_bound(args: argparse.Namespace) -> int:
     sweep = list(iter_reduced_dims(args.max_n, args.max_s))
-    if not sweep:
+    if not sweep:  # an empty sweep would verify nothing
         raise ValueError(f"no reduced dims with entries<={args.max_n}, s<={args.max_s}")
-    _print_claim(name, f"all reduced dims with entries<={args.max_n}, s<={args.max_s}")
+    _print_claim(args.claim, f"all reduced dims with entries<={args.max_n}, s<={args.max_s}")
     mismatches = []
     for d in sweep:
         expected = 2 * d.dims[0] + d.dims[1] + d.s - 2
@@ -250,7 +236,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         line = f"VERIFIED: {len(sweep)} dimension vectors, |X*|=2*n1+n2+s-2 in every case"
     return _verdict(args, not mismatches, {
-        "claim": name,
+        "claim": args.claim,
         "dims_checked": len(sweep),
         "mismatches": [list(m) for m in mismatches],
         "verified": not mismatches,
@@ -258,8 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    h = load_hypergraph(args.file)
-    return _emit_hypergraph(h, f"export {args.file}", args)
+    return _emit_hypergraph(args.h, f"export {args.file}", args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ver_sub.add_parser("size-bound", parents=[json_flag], help=CLAIMS["size-bound"])
     p.add_argument("--max-n", type=int, default=9)
     p.add_argument("--max-s", type=int, default=4)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_size_bound)
 
     p = sub.add_parser("export", parents=[out_flags],
                        help="validate and canonically rewrite a hypergraph file")
@@ -339,8 +324,15 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exit_:  # argparse handles --help and usage errors
         return int(exit_.code or 0)
     try:
-        if "max_vertices" in args:  # built before any output, so a bad cap prints nothing
+        # every input is built once, before any output, so a bad one prints nothing
+        if "max_vertices" in args:
             args.cfg = EnumerationConfig(args.max_vertices, args.time_budget)
+        if "dims" in args:
+            args.d = _parse_dims(args.dims)
+        elif "set" in args:
+            args.d = _parse_target(args.set).dims
+        if "file" in args:
+            args.h = load_hypergraph(args.file)
         return args.func(args)
     except CapExceeded as err:
         print(f"aborted: {err}", file=sys.stderr)

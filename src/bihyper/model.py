@@ -174,30 +174,21 @@ def _ascending_in_range(raw: list[Edge], n: int) -> bool:
 
 
 def _canonical_edges(edges: Iterable[Iterable[int]], n: int, family: str) -> tuple[Edge, ...]:
-    """Checked in bulk if every edge ascends, else walked edge by edge to name its first bad edge.
-
-    Ascending edges are not sorted again, and a list of them that is already
-    strictly increasing, as the constructions emit it, is returned as it is.
-    """
-    raw: list[Edge] = []
-    try:
-        raw.extend(map(tuple, edges))
-    finally:  # a non-iterable edge raises TypeError, unless an edge before it is bad
-        ascending = _ascending_in_range(raw, n)
-        if not ascending:
-            for e in raw:
-                if len(e) < 2:
-                    raise ValueError(f"{family}-edge {e!r} has fewer than 2 vertices")
-                for v in e:
-                    if type(v) is not int or not 0 <= v < n:  # type(): bool is not an index
-                        raise ValueError(f"{family}-edge {e!r} references invalid vertex index {v!r}")
-                if len(set(e)) != len(e):
-                    raise ValueError(f"{family}-edge {e!r} has a repeated vertex")
-    if not ascending:
-        return tuple(sorted(dict.fromkeys(map(tuple, map(sorted, raw)))))
-    if all(map(lt, raw, islice(raw, 1, None))):  # strictly increasing: sorted, no duplicate
-        return tuple(raw)
-    return tuple(sorted(dict.fromkeys(raw)))
+    """A list that is already canonical, as the constructions emit it, passes one
+    bulk check and is returned as it is; any other list is walked edge by edge,
+    to name its first bad edge, and then sorted."""
+    raw = list(map(tuple, edges))
+    if _ascending_in_range(raw, n) and all(map(lt, raw, islice(raw, 1, None))):
+        return tuple(raw)  # strictly increasing: sorted, no duplicate
+    for e in raw:
+        if len(e) < 2:
+            raise ValueError(f"{family}-edge {e!r} has fewer than 2 vertices")
+        for v in e:
+            if type(v) is not int or not 0 <= v < n:  # type(): bool is not an index
+                raise ValueError(f"{family}-edge {e!r} references invalid vertex index {v!r}")
+        if len(set(e)) != len(e):
+            raise ValueError(f"{family}-edge {e!r} has a repeated vertex")
+    return tuple(sorted(dict.fromkeys(map(tuple, map(sorted, raw)))))
 
 
 def make_mixed_hypergraph(
@@ -334,8 +325,7 @@ class ChromaticSpectrum:
     @classmethod
     def from_class_counts(cls, by_k: Mapping[int, int]) -> "ChromaticSpectrum":
         """Build from a {class count: number of partitions} mapping."""
-        top = max((k for k, v in by_k.items() if v), default=0)
-        return cls(tuple(by_k.get(k, 0) for k in range(1, top + 1)))
+        return cls.from_counts(by_k.get(k, 0) for k in range(1, max(by_k, default=0) + 1))
 
     @property
     def is_empty(self) -> bool:

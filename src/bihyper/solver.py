@@ -30,7 +30,6 @@ from .model import (
     DimsSpec,
     MixedHypergraph,
     Partition,
-    UncolorableError,
     is_proper_coloring,
 )
 
@@ -76,6 +75,27 @@ class EnumerationConfig:
         ):  # `not > 0` refuses NaN too
             raise ValueError(f"time_budget must be a positive number, got {budget!r}")
 
+    def check_vertices(self, n: int) -> None:
+        """Raise `CapExceeded` if `n` vertices are more than the cap allows."""
+        if n > self.max_vertices:
+            raise CapExceeded(
+                f"hypergraph has {n} vertices, enumeration cap is {self.max_vertices}",
+                stats={"vertices": n, "max_vertices": self.max_vertices},
+            )
+
+
+def _time_left(
+    cfg: EnumerationConfig, deadline: float | None, stats: dict
+) -> EnumerationConfig:
+    """`cfg` with what is left of `deadline` as its budget, for one enumeration
+    inside a longer check; `CapExceeded` with `stats` when nothing is left."""
+    if deadline is None:
+        return cfg
+    left = deadline - time.perf_counter()
+    if left <= 0:
+        raise CapExceeded("time budget exceeded before the enumeration", stats=stats)
+    return replace(cfg, time_budget=left)
+
 
 def _search(
     h: MixedHypergraph, cfg: EnumerationConfig, leaf: Callable[[list[int], int, int, int], None]
@@ -112,11 +132,7 @@ def _search(
     `nodes` counts class tries above v and `found` partitions. Under a budget
     the clock is read once per `_CLOCK_EVERY` tries plus edges they scanned.
     """
-    if h.n > cfg.max_vertices:
-        raise CapExceeded(
-            f"hypergraph has {h.n} vertices, enumeration cap is {cfg.max_vertices}",
-            stats={"vertices": h.n, "max_vertices": cfg.max_vertices},
-        )
+    cfg.check_vertices(h.n)
     deadline = None if cfg.time_budget is None else time.perf_counter() + cfg.time_budget
     n = h.n
     edges, in_c, in_d = h.edge_table()
@@ -301,8 +317,6 @@ def chromatic_numbers(
 ) -> tuple[int, int]:
     """(lower, upper) chromatic number; raises UncolorableError when neither exists."""
     spectrum = chromatic_spectrum(h, cfg)
-    if spectrum.is_empty:
-        raise UncolorableError("hypergraph admits no strict coloring")
     return spectrum.lower_chromatic, spectrum.upper_chromatic
 
 
@@ -380,6 +394,8 @@ def verify_edge_maximality(
     if mode not in ("proof", "enumerate"):
         raise ValueError(f"mode must be 'proof' or 'enumerate', got {mode!r}")
     cfg = cfg or EnumerationConfig()
+    if mode == "enumerate":  # refused before the product is built
+        cfg.check_vertices(d.vertex_count)
     deadline = None if cfg.time_budget is None else time.perf_counter() + cfg.time_budget
     h = product_bihypergraph(d)
     edge_set = set(h.bi_edges)
@@ -389,12 +405,7 @@ def verify_edge_maximality(
     tested = 0
     base = None
     if mode == "enumerate":
-        if deadline is not None:
-            left = deadline - time.perf_counter()
-            if left <= 0:
-                raise CapExceeded("time budget exceeded before the enumeration",
-                                  stats={"tested": 0, "non_edges": expected})
-            cfg = replace(cfg, time_budget=left)
+        cfg = _time_left(cfg, deadline, {"tested": 0, "non_edges": expected})
         partitions = enumerate_feasible_partitions(h, cfg)
         base = ChromaticSpectrum.from_class_counts(Counter(p.num_classes for p in partitions))
         labelings = [p.label_map() for p in partitions]
@@ -454,15 +465,18 @@ def verify_reduced_equivalence(
 
     The reduced side is always enumerated (it must fit the caps). The full
     side is enumerated when the box fits, otherwise the predicted spectrum is
-    used and labelled as such.
+    used and labelled as such. `cfg.time_budget` is one deadline for the whole
+    call: each enumeration runs under what the builds and searches before it
+    left, and `enumerated` counts the sides done when it runs out.
     """
     cfg = cfg or EnumerationConfig()
-    d.require_reduced()
+    deadline = None if cfg.time_budget is None else time.perf_counter() + cfg.time_budget
     h_star = reduced_bihypergraph(d)
-    reduced = chromatic_spectrum(h_star, cfg)
+    reduced = chromatic_spectrum(h_star, _time_left(cfg, deadline, {"enumerated": 0}))
     note = None
     if d.vertex_count <= cfg.max_vertices:
-        full = chromatic_spectrum(product_bihypergraph(d), cfg)
+        h = product_bihypergraph(d)  # built before the budget left is read
+        full = chromatic_spectrum(h, _time_left(cfg, deadline, {"enumerated": 1}))
         source = "enumerated"
     else:
         full = predicted_spectrum(d)

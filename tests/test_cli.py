@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, JSON round trips, deterministic output."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -17,7 +18,8 @@ from bihyper import (
     save_hypergraph,
     to_json_dict,
 )
-from bihyper.cli import run
+from bihyper import cli, solver
+from bihyper.cli import build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -389,6 +391,27 @@ def test_cap_abort_exit_code(capsys):
     assert "aborted" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv, vertices",
+    [
+        (("lemma21", "30", "29"), 870),  # 706,440 edges if it were built
+        (("thm22", "8", "7", "6"), 336),
+        (("thm23", "--set", "8:1,7:1,6:1"), 336),
+        (("thm24", "--mode", "enumerate", "8", "7", "6"), 336),
+    ],
+    ids=["lemma21", "thm22", "thm23", "thm24-enumerate"],
+)
+def test_cap_is_checked_before_the_product_is_built(argv, vertices, capsys, monkeypatch):
+    def refuse(d):
+        raise AssertionError(f"built the {d.dims} product past the cap")
+
+    monkeypatch.setattr(cli, "product_bihypergraph", refuse)
+    monkeypatch.setattr(solver, "product_bihypergraph", refuse)
+    code, _, stderr = invoke(capsys, "verify", *argv)
+    assert code == 3
+    assert stderr == f"aborted: hypergraph has {vertices} vertices, enumeration cap is 64\n"
+
+
 def test_time_budget_abort_exit_code(tmp_path, capsys):
     # an unconstrained 18-vertex instance cannot finish in a millisecond
     path = tmp_path / "big.json"
@@ -493,3 +516,37 @@ def test_roundtrip_pipeline_matches_in_memory(tmp_path, capsys):
     assert code == 0
     expected = chromatic_spectrum(product_bihypergraph(DimsSpec.of(4, 3))).as_report()
     assert json.loads(stdout) == expected
+
+
+# --- public surface -------------------------------------------------------------------
+
+
+def _leaf_commands(parser, path=()):
+    """(subcommand path, sorted option strings and positional names) per leaf parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, path + (name,))
+            return
+    yield " ".join(path), sorted(s for a in parser._actions for s in a.option_strings or [a.dest])
+
+
+def test_subcommand_options_are_pinned():
+    # an added or dropped option must change this pin, and be said so in CHANGES.md
+    help_json = ["--help", "--json", "-h"]
+    caps = sorted(help_json + ["--max-vertices", "--time-budget"])
+    assert dict(_leaf_commands(build_parser())) == {
+        "construct product": sorted(help_json + ["--out", "dims"]),
+        "construct reduced": sorted(help_json + ["--out", "dims"]),
+        "construct spectrum-instance": sorted(help_json + ["--out", "--set"]),
+        "spectrum": caps + ["file"],
+        "feasible": caps + ["file"],
+        "verify lemma21": caps + ["dims"],
+        "verify thm22": caps + ["dims"],
+        "verify thm23": sorted(caps + ["--set"]),
+        "verify thm24": sorted(caps + ["--mode", "dims"]),
+        "verify lemma31": caps + ["dims"],
+        "verify thm32": caps + ["dims"],
+        "verify size-bound": sorted(help_json + ["--max-n", "--max-s"]),
+        "export": sorted(help_json + ["--out", "file"]),
+    }

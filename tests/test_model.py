@@ -1,5 +1,6 @@
 """Core model: construction, predicates, partitions, spectra, JSON format."""
 
+import dataclasses
 import json
 import re
 
@@ -408,3 +409,21 @@ def test_package_exports_every_module_name_once():
     assert sorted(bihyper.__all__) == sorted(name for _, name in pairs)
     for module, name in pairs:
         assert getattr(bihyper, name) is getattr(module, name)
+
+
+def test_public_names_are_pinned():
+    # a dropped or added name must change this pin, and be said so in CHANGES.md
+    assert sorted(bihyper.__all__) == [
+        "CapExceeded", "ChromaticSpectrum", "DimsSpec", "Edge", "EnumerationConfig",
+        "MaximalityReport", "MixedHypergraph", "Partition", "ReducedEquivalenceReport",
+        "SpectrumTarget", "UncolorableError", "Vertex", "box_vertices", "brute_force_spectrum",
+        "canonical_coloring", "check_isomorphism", "chromatic_numbers", "chromatic_spectrum",
+        "derived_subhypergraph", "enumerate_feasible_partitions", "feasible_set",
+        "from_json_dict", "is_isomorphic", "is_proper_coloring", "is_strict_k_coloring",
+        "iter_reduced_dims", "load_hypergraph", "make_mixed_hypergraph", "predicted_spectrum",
+        "product_bihypergraph", "reduced_bihypergraph", "reduced_vertex_set", "save_hypergraph",
+        "spectrum_instance", "to_json_dict", "verify_edge_maximality",
+        "verify_reduced_equivalence",
+    ]
+    fields = [f.name for f in dataclasses.fields(bihyper.EnumerationConfig)]
+    assert fields == ["max_vertices", "time_budget", "collect_partitions"]

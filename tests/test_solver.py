@@ -471,7 +471,52 @@ def test_maximality_enumeration_runs_under_what_the_build_left(clock, monkeypatc
     assert len(budgets) == 1
 
 
+def test_maximality_enumerate_refuses_the_cap_before_building(monkeypatch):
+    def refuse(d):
+        raise AssertionError(f"built the {d.dims} product past the cap")
+
+    monkeypatch.setattr(solver, "product_bihypergraph", refuse)
+    with pytest.raises(CapExceeded, match="336 vertices, enumeration cap is 64") as err:
+        verify_edge_maximality(DimsSpec.of(8, 7, 6), mode="enumerate")
+    assert err.value.stats == {"vertices": 336, "max_vertices": 64}
+
+
 # --- reduced equivalence ----------------------------------------------------------------------
+
+
+def test_reduced_equivalence_runs_under_one_deadline(clock, monkeypatch):
+    # each search gets what the builds and searches before it left of one
+    # deadline, and none when they have spent it all
+    budgets = []
+    build_reduced, build_product = solver.reduced_bihypergraph, solver.product_bihypergraph
+    spectrum = solver.chromatic_spectrum
+
+    def slow_reduced(d):
+        clock.now += 0.1
+        return build_reduced(d)
+
+    def slow_product(d):
+        clock.now += product_s
+        return build_product(d)
+
+    def spy(h, cfg):
+        budgets.append(cfg.time_budget)
+        result = spectrum(h, cfg)
+        clock.now += 0.1
+        return result
+
+    monkeypatch.setattr(solver, "reduced_bihypergraph", slow_reduced)
+    monkeypatch.setattr(solver, "product_bihypergraph", slow_product)
+    monkeypatch.setattr(solver, "chromatic_spectrum", spy)
+    cfg = EnumerationConfig(time_budget=0.5)
+    product_s = 0.2
+    assert verify_reduced_equivalence(DimsSpec.of(5, 4), cfg).full_source == "enumerated"
+    assert budgets == [pytest.approx(0.4), pytest.approx(0.1)]
+    product_s = 0.3
+    with pytest.raises(CapExceeded, match="before the enumeration") as err:
+        verify_reduced_equivalence(DimsSpec.of(5, 4), cfg)
+    assert err.value.stats == {"enumerated": 1}
+    assert len(budgets) == 3
 
 
 def test_reduced_equivalence_54_enumerated_both_sides():
