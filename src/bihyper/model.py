@@ -14,12 +14,13 @@ never looks at coordinates.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from math import prod
 from operator import itemgetter, lt
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 Vertex = tuple[int, ...]
 Edge = tuple[int, ...]
@@ -151,11 +152,24 @@ class MixedHypergraph:
         return edges, [e in cset for e in edges], [e in dset for e in edges]
 
     def with_bi_edge(self, edge: Iterable[int]) -> "MixedHypergraph":
-        """Return a copy with `edge` added to both families."""
+        """Return a copy with `edge` added to both families.
+
+        The edge goes in at its sorted place, so a canonical edge list stays
+        canonical and passes `make_mixed_hypergraph`'s bulk check, which still
+        validates every edge."""
         e = tuple(edge)
-        return make_mixed_hypergraph(
-            self.vertices, self.c_edges + (e,), self.d_edges + (e,), dims=self.dims
-        )
+
+        def added(edges: tuple[Edge, ...]) -> list[Edge]:
+            out = list(edges)
+            try:
+                insort(out, e)
+            except TypeError:  # members that do not compare: validation names them
+                out.append(e)
+            return out
+
+        c_edges = added(self.c_edges)
+        d_edges = c_edges if self.c_edges is self.d_edges else added(self.d_edges)
+        return make_mixed_hypergraph(self.vertices, c_edges, d_edges, dims=self.dims)
 
 
 def _ascending_in_range(raw: list[Edge], n: int) -> bool:
@@ -235,12 +249,22 @@ def make_mixed_hypergraph(
     return MixedHypergraph(vertices=verts, c_edges=c_canon, d_edges=d_canon, dims=box)
 
 
-@dataclass(frozen=True)
+def _label_classes(labels: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The classes of a color assignment indexed by vertex, in canonical order."""
+    groups: dict[int, list[int]] = {}
+    for v, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(v)
+    # first-occurrence order with ascending members is already canonical
+    return map(tuple, groups.values())
+
+
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A set partition of vertex indices into nonempty classes, in canonical form.
 
     Canonical form: each class is an ascending index tuple and classes are
     ordered by their smallest member, so equality ignores color names.
+    Slotted: no instance `__dict__`, as the solver may keep a million of them.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -267,11 +291,7 @@ class Partition:
     @classmethod
     def from_labels(cls, labels: Iterable[int]) -> "Partition":
         """Build from a color assignment indexed by vertex; labels are arbitrary."""
-        groups: dict[int, list[int]] = {}
-        for v, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(v)
-        # first-occurrence order with ascending members is already canonical
-        return cls(tuple(map(tuple, groups.values())))
+        return cls(tuple(_label_classes(labels)))
 
     @property
     def num_classes(self) -> int:

@@ -7,7 +7,8 @@ Two independent routes compute the same answers:
   uncolored members, unit-rule narrowing of the last free member, branching on
   the fewest allowed classes, no recursion limit) hands over restricted-growth
   label strings whose last vertex comes as one class bitmask; the first
-  expands, sorts and wraps each in a `Partition`, the second counts each mask;
+  expands, sorts and wraps each in a `Partition` (equal classes share one
+  tuple), the second counts each mask;
 * `brute_force_spectrum`: an unpruned scan of ALL set partitions filtered by
   the public properness predicate, the trusted oracle for small inputs.
 
@@ -31,6 +32,7 @@ from .model import (
     MixedHypergraph,
     Partition,
     is_proper_coloring,
+    _label_classes,
 )
 
 __all__ = [
@@ -48,7 +50,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX_VERTICES = 12
-# about 0.6 GB of partitions at the ~0.6 KB each measured on edgeless 10
+# about 0.14 GB of partitions at the 130-140 B each kept at peak on edgeless 9-11
 MAX_COLLECTED_PARTITIONS = 1_000_000
 _CLOCK_EVERY = 4096  # work per clock read: class tries plus edges scanned, or non-edges
 
@@ -284,8 +286,14 @@ def enumerate_feasible_partitions(
         labels[v] = -1
 
     _search(h, cfg or EnumerationConfig(), leaf)
-    found.sort()
-    return [Partition.from_labels(s) for s in found]
+    # descending, so pop() yields the strings in order and frees each one used
+    found.sort(reverse=True)
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct class
+    partitions = []
+    while found:
+        classes = [shared.setdefault(c, c) for c in _label_classes(found.pop())]
+        partitions.append(Partition(tuple(classes)))
+    return partitions
 
 
 def chromatic_spectrum(

@@ -1,7 +1,9 @@
 """Core model: construction, predicates, partitions, spectra, JSON format."""
 
+import copy
 import dataclasses
 import json
+import pickle
 import re
 
 import pytest
@@ -241,6 +243,16 @@ def test_partition_labels_roundtrip():
     assert Partition.from_labels(p.as_labels()) == p
 
 
+def test_partition_is_slotted_and_still_frozen():
+    p = Partition.from_labels([0, 1, 0, 2])
+    assert not hasattr(p, "__dict__")
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert copy.copy(p) == p and copy.deepcopy(p) == p
+    assert hash(p) == hash(Partition(((0, 2), (1,), (3,))))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.classes = ()
+
+
 def test_labels_require_contiguous_universe():
     p = Partition.from_classes([[0, 2]])
     with pytest.raises(ValueError):
@@ -358,6 +370,35 @@ def test_bi_edges_stored_once(tmp_path):
     explicit = make_mixed_hypergraph([(1,), (2,), (3,)], [[0, 1, 2]], [(2, 1, 0)])
     for h in (H43, H43.with_bi_edge((0, 1, 2)), load_hypergraph(path), explicit):
         assert h.is_bihypergraph and h.c_edges is h.d_edges
+
+
+MIXED = make_mixed_hypergraph([(1,), (2,), (3,), (4,)], [(0, 1, 3)], [(1, 2, 3), (0, 1)])
+
+
+@pytest.mark.parametrize("h", [H43, MIXED], ids=["H43", "mixed"])
+@pytest.mark.parametrize("edge", [(0, 1, 2), (0, 1, 3), (2, 0, 1)], ids=str)
+def test_with_bi_edge_equals_append_then_canonicalize(h, edge):
+    # (0, 1, 3) is an edge of H43 and of the mixed C family; (2, 0, 1) is unsorted
+    appended = make_mixed_hypergraph(h.vertices, h.c_edges + (edge,), h.d_edges + (edge,),
+                                     dims=h.dims)
+    assert h.with_bi_edge(edge) == appended
+    assert h.with_bi_edge(iter(edge)) == appended
+
+
+def test_with_bi_edge_keeps_a_canonical_list_canonical(monkeypatch):
+    passed = []
+    monkeypatch.setattr(model, "make_mixed_hypergraph",
+                        lambda v, c, d, dims: passed.append((c, d)))
+    H43.with_bi_edge((0, 1, 2))
+    c_edges, d_edges = passed.pop()
+    assert c_edges is d_edges  # one list, canonicalized once
+    assert all(a < b for a, b in zip(c_edges, c_edges[1:])) and (0, 1, 2) in c_edges
+
+
+def test_with_bi_edge_still_validates():
+    for bad in [(0, 1, 12), (0, 0, 1), (0,), ("a", 1, 2), (None, 1, 2), (True, 1, 2)]:
+        with pytest.raises(ValueError):
+            H43.with_bi_edge(bad)
 
 
 def test_edge_table_merges_the_two_families():

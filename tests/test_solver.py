@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -132,6 +133,28 @@ def test_enumeration_vertex_cap():
         enumerate_feasible_partitions(edgeless(10), EnumerationConfig(max_vertices=9))
     with pytest.raises(CapExceeded):
         enumerate_feasible_partitions(edgeless(65))
+
+
+def test_collected_partitions_share_class_tuples():
+    found = enumerate_feasible_partitions(edgeless(6))
+    assert len(found) == 203
+    # one tuple per nonempty vertex subset that occurs as a class: 2**6 - 1
+    assert len({id(c) for p in found for c in p.classes}) == 63
+
+
+def test_collecting_edgeless_9_peaks_below_250_bytes_per_partition():
+    # about 140 B each with shared classes and a slotted Partition, over 500
+    # when every partition built its own classes and kept a __dict__
+    h = edgeless(9)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        found = enumerate_feasible_partitions(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 21147
+    assert peak / len(found) < 250
 
 
 def test_collected_partition_cap(monkeypatch):
