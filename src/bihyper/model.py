@@ -14,7 +14,7 @@ never looks at coordinates.
 from __future__ import annotations
 
 import json
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from math import prod
@@ -154,17 +154,19 @@ class MixedHypergraph:
     def with_bi_edge(self, edge: Iterable[int]) -> "MixedHypergraph":
         """Return a copy with `edge` added to both families.
 
-        The edge goes in at its sorted place, so a canonical edge list stays
+        The edge's members are sorted and it goes in at its sorted place,
+        unless the family holds it already, so a canonical edge list stays
         canonical and passes `make_mixed_hypergraph`'s bulk check, which still
         validates every edge."""
         e = tuple(edge)
+        ints = all(type(v) is int for v in e)  # type(): bool and 1.0 are no index
+        key = tuple(sorted(e)) if ints else e
 
         def added(edges: tuple[Edge, ...]) -> list[Edge]:
             out = list(edges)
-            try:
-                insort(out, e)
-            except TypeError:  # members that do not compare: validation names them
-                out.append(e)
+            i = bisect_left(out, key) if ints else len(out)  # validation names a non-int edge
+            if i == len(out) or out[i] != key:
+                out.insert(i, key)
             return out
 
         c_edges = added(self.c_edges)

@@ -3,12 +3,13 @@
 Two independent routes compute the same answers:
 
 * `enumerate_feasible_partitions` / `chromatic_spectrum`: one forward-checking
-  backtracking loop on an explicit stack (`_search`: per-edge counts of
-  uncolored members, unit-rule narrowing of the last free member, branching on
-  the fewest allowed classes, no recursion limit) hands over restricted-growth
-  label strings whose last vertex comes as one class bitmask; the first
-  expands, sorts and wraps each in a `Partition` (equal classes share one
-  tuple), the second counts each mask;
+  backtracking loop on an explicit stack (`_search`: unit-rule narrowing of
+  an edge's last free member, through pair masks for 3-element edges where
+  pairs lie in many of them and per-edge counts of uncolored members
+  otherwise, branching on the fewest allowed classes, no recursion limit)
+  hands over restricted-growth label strings whose last vertex comes as one
+  class bitmask; the first expands, sorts and wraps each in a `Partition`
+  (equal classes share one tuple), the second counts each mask;
 * `brute_force_spectrum`: an unpruned scan of ALL set partitions filtered by
   the public properness predicate, the trusted oracle for small inputs.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from math import comb
 from typing import Callable, Iterator
@@ -52,7 +53,10 @@ __all__ = [
 BRUTE_FORCE_MAX_VERTICES = 12
 # about 0.14 GB of partitions at the 130-140 B each kept at peak on edgeless 9-11
 MAX_COLLECTED_PARTITIONS = 1_000_000
-_CLOCK_EVERY = 4096  # work per clock read: class tries plus edges scanned, or non-edges
+_CLOCK_EVERY = 4096  # work per clock read: class tries plus what they scan, or non-edges
+# edges per clock read in each pass of the search's index build; with 4096,
+# the 5,760-edge (5,4,3) product would stop in its build, before any node
+_INDEX_EVERY = 8192
 
 
 @dataclass(frozen=True)
@@ -99,23 +103,46 @@ def _time_left(
     return replace(cfg, time_budget=left)
 
 
+def _pairs_pay(pairs: int, triples: int) -> bool:
+    """Whether `_search` takes the pair path for `triples` 3-element edges
+    that cover `pairs` vertex pairs: trying a class at each vertex once scans
+    2 * pairs partners there, against 3 * triples incident edges."""
+    return 2 * pairs < 3 * triples
+
+
 def _search(
     h: MixedHypergraph, cfg: EnumerationConfig, leaf: Callable[[list[int], int, int, int], None]
-) -> None:
+) -> int:
     """Forward-checking depth-first search over restricted-growth assignments.
 
     Forward checking after Haralick & Elliott (1980), with fewest-choices
-    branching and degree tie-breaks as in Brelaz's DSATUR (1979).
+    branching and degree tie-breaks as in Brelaz's DSATUR (1979), and
+    3-element edges kept as bitmasks in the style of San Segundo et al. (2011).
 
     Each vertex v carries one class bitmask `dom[v]`, the classes it may
-    still take (-1 at the start: every class, fresh ones too). Every edge
-    keeps a count of its uncolored members. Once a colored vertex leaves an
-    edge with one uncolored member w, a unit rule narrows w:
+    still take (-1 at the start: every class, fresh ones too). Once a colored
+    vertex leaves an edge with one uncolored member w, a unit rule narrows w:
 
     * C-edge whose colored members have pairwise distinct colors: w must
       reuse one of them (`dom[w] &= their classes`);
     * D-edge whose colored members share one color: w must avoid it
       (`dom[w] &= ~that class`).
+
+    Edges reach the rules by one of two paths:
+
+    * edge path: every edge keeps a count of its uncolored members, and a
+      class try at v scans v's incident edges for those left with one;
+    * pair path, for 3-element edges: each vertex pair {v, u} keeps a C mask
+      and a D mask of the third members of its edges, as bits of their ranks
+      in the branching order. A try of class c at v reads v's partners u: a
+      colored u of class c sends every free vertex in its D mask off c, and
+      one of class k != c narrows every free vertex in its C mask to {c, k}.
+      Each free vertex is narrowed once per class its edges with v call for.
+
+    3-element edges take the pair path when it scans less (`_pairs_pay`):
+    when 2 * (the pairs they cover) < 3 * (their number). Products and the
+    reduced family do; sparse random hypergraphs keep every edge on the edge
+    path.
 
     A vertex left with no class prunes the branch (a wipeout). A narrowing
     that changes a mask goes on a trail and is undone on backtrack. Every
@@ -131,24 +158,79 @@ def _search(
     its mask `allowed` completes a partition: `leaf(labels, v, allowed, fresh)`
     gets them at once, with `labels[v] == -1` and bit `fresh` opening a class.
     `labels` is reused: copy it to keep it, reset `labels[v]` after writing it.
-    `nodes` counts class tries above v and `found` partitions. Under a budget
-    the clock is read once per `_CLOCK_EVERY` tries plus edges they scanned.
+    Returns `nodes`, the class tries above v. Under a budget the index build
+    reads the clock once per `_INDEX_EVERY` edges, and the search once per
+    `_CLOCK_EVERY` units of work: 1 per class try plus the partners and
+    incident edges it scans.
     """
     cfg.check_vertices(h.n)
     deadline = None if cfg.time_budget is None else time.perf_counter() + cfg.time_budget
+
+    def blocks(seq: tuple | list) -> Iterator[tuple[int, tuple | list]]:
+        """`(start, block)` over `seq` in blocks of `_INDEX_EVERY`, with a
+        clock read under a budget between blocks."""
+        for lo in range(0, len(seq), _INDEX_EVERY):
+            if lo and deadline is not None and time.perf_counter() > deadline:
+                raise CapExceeded(
+                    "time budget exceeded while indexing the edges", stats={"nodes": 0, "found": 0}
+                )
+            yield lo, seq[lo:lo + _INDEX_EVERY]
+
     n = h.n
     edges, in_c, in_d = h.edge_table()
-    left = [len(e) for e in edges]  # uncolored members per edge
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(edges):
-        for v in e:
-            incident[v].append(i)
+    degree: Counter[int] = Counter()
+    for _, block in blocks(edges):
+        degree.update(itertools.chain.from_iterable(block))
     # ties go to the vertex in more edges, then to the lower index
-    order = sorted(range(n), key=lambda v: (-len(incident[v]), v))
+    order = sorted(range(n), key=lambda v: (-degree[v], v))
     rank = [0] * n
     for p, v in enumerate(order):
         rank[v] = p
-    free = [True] * n  # free[p]: order[p] is not yet branched on
+    bit = [1 << p for p in rank]  # bit[v]: v's rank as a one-bit mask
+
+    def pair_rows(family: tuple[tuple[int, ...], ...]) -> list[defaultdict[int, int]]:
+        """rows[a][b], a < b: the bits of the third members of the 3-element
+        edges of `family` through a and b."""
+        rows: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
+        for _, block in blocks(family):
+            for e in block:
+                if len(e) == 3:
+                    a, b, c = e
+                    row = rows[a]
+                    row[b] |= bit[c]
+                    row[c] |= bit[b]
+                    rows[b][c] |= bit[a]
+        return rows
+
+    c_rows = pair_rows(h.c_edges)
+    d_rows = c_rows if in_c is in_d else pair_rows(h.d_edges)
+    # pairs covered by 3-element edges: row a's partners b > a in either family
+    covered = [c if c is d else c.keys() | d.keys() for c, d in zip(c_rows, d_rows)]
+    sizes = list(map(len, edges))
+    triples = sizes.count(3)
+    pair_path = _pairs_pay(sum(map(len, covered)), triples)
+    # partners[v]: (u, C mask, D mask) per vertex u sharing a 3-element edge with v
+    partners: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    if pair_path:
+        for a, (row, c_row, d_row) in enumerate(zip(covered, c_rows, d_rows)):
+            for b in row:
+                cm, dm = c_row.get(b, 0), d_row.get(b, 0)
+                partners[a].append((b, cm, dm))
+                partners[b].append((a, cm, dm))
+        # the edge path keeps the other edges only
+        kept = [i for i, k in enumerate(sizes) if k != 3] if triples < len(edges) else []
+        edges = [edges[i] for i in kept]
+        in_c = [in_c[i] for i in kept]
+        in_d = [in_d[i] for i in kept]
+    del c_rows, d_rows, covered, sizes
+    left = [len(e) for e in edges]  # uncolored members per edge-path edge
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for lo, block in blocks(edges):
+        for i, e in enumerate(block, lo):
+            for v in e:
+                incident[v].append(i)
+    cost = [1 + len(p) + len(i) for p, i in zip(partners, incident)]  # work per class try
+    free = (1 << n) - 1  # bit p: order[p] is not yet branched on
     labels = [-1] * n
     dom = [-1] * n
     # narrowed: vertices whose masks differ from the start, in the order they
@@ -166,7 +248,7 @@ def _search(
         # pick var[d]: an untouched free vertex allows all used[d] + 1
         # classes and a narrowed one fewer, so only the first free vertex in
         # `order` and the narrowed vertices compete
-        v = order[free.index(True)]
+        v = order[(free & -free).bit_length() - 1]
         allowed = top = (1 << (used[d] + 1)) - 1
         if narrowed:
             size = used[d] + 1
@@ -180,13 +262,13 @@ def _search(
             found += allowed.bit_count()  # no class tries: hand over the mask, back up
             leaf(labels, v, allowed, used[d])
             if d == 0:
-                return
+                return nodes
             d -= 1
             v = var[d]
             todo = rest[d]
         else:
             var[d] = v
-            free[rank[v]] = False
+            free ^= bit[v]
             todo = allowed  # rest[d] while the search is at depth d
             mark[d] = len(trail)
             # v stays counted as colored in its edges while it tries its classes
@@ -195,11 +277,11 @@ def _search(
         while True:
             while not todo:
                 labels[v] = -1
-                free[rank[v]] = True
+                free |= bit[v]
                 for i in incident[v]:
                     left[i] += 1
                 if d == 0:
-                    return
+                    return nodes
                 d -= 1
                 v = var[d]
                 todo = rest[d]
@@ -215,7 +297,7 @@ def _search(
             color = low.bit_length() - 1
             nodes += 1
             if deadline is not None:
-                work += 1 + len(incident[v])
+                work += cost[v]
                 if work >= _CLOCK_EVERY:
                     work = 0
                     if time.perf_counter() > deadline:
@@ -224,6 +306,40 @@ def _search(
                             stats={"nodes": nodes, "found": found},
                         )
             labels[v] = color
+            if pair_path:
+                # by[k]: ranks of the third members of v's 3-element edges
+                # with a partner of class k (their D masks for k == color)
+                by = [0] * (used[d] + 1)
+                for u, cm, dm in partners[v]:
+                    k = labels[u]
+                    if k < 0:
+                        continue
+                    by[k] |= dm if k == color else cm
+                wiped = False
+                for k, ranks in enumerate(by):
+                    ranks &= free
+                    if not ranks:
+                        continue
+                    keep = ~low if k == color else low | 1 << k
+                    while ranks:
+                        r = ranks & -ranks
+                        ranks ^= r
+                        w = order[r.bit_length() - 1]
+                        mask = prev = dom[w]
+                        mask &= keep
+                        if mask == prev:
+                            continue
+                        if prev == -1:
+                            narrowed.append(w)
+                        trail.append((w, prev))
+                        dom[w] = mask
+                        if not mask:
+                            wiped = True
+                            break
+                    if wiped:
+                        break
+                if wiped:
+                    continue  # wipeout: try the next class
             for i in incident[v]:
                 if left[i] != 1:
                     continue

@@ -389,14 +389,21 @@ def test_with_bi_edge_keeps_a_canonical_list_canonical(monkeypatch):
     passed = []
     monkeypatch.setattr(model, "make_mixed_hypergraph",
                         lambda v, c, d, dims: passed.append((c, d)))
-    H43.with_bi_edge((0, 1, 2))
-    c_edges, d_edges = passed.pop()
-    assert c_edges is d_edges  # one list, canonicalized once
-    assert all(a < b for a, b in zip(c_edges, c_edges[1:])) and (0, 1, 2) in c_edges
+    # (2, 1, 0) is unsorted; (0, 1, 3) is already an edge and goes in no second time
+    for edge, added in [((0, 1, 2), 1), ((2, 1, 0), 1), ((0, 1, 3), 0)]:
+        H43.with_bi_edge(edge)
+        c_edges, d_edges = passed.pop()
+        assert c_edges is d_edges  # one list, canonicalized once
+        assert all(a < b for a, b in zip(c_edges, c_edges[1:]))
+        assert tuple(sorted(edge)) in c_edges
+        assert model._ascending_in_range(c_edges, H43.n)  # the bulk check takes it
+        assert len(c_edges) == len(H43.c_edges) + added
 
 
 def test_with_bi_edge_still_validates():
-    for bad in [(0, 1, 12), (0, 0, 1), (0,), ("a", 1, 2), (None, 1, 2), (True, 1, 2)]:
+    # (False, 1, 3) and (0.0, 1, 3) compare equal to the edge (0, 1, 3)
+    for bad in [(0, 1, 12), (0, 0, 1), (0,), ("a", 1, 2), (None, 1, 2), (True, 1, 2),
+                (False, 1, 3), (0.0, 1, 3)]:
         with pytest.raises(ValueError):
             H43.with_bi_edge(bad)
 

@@ -1,7 +1,11 @@
 """Property-based checks: the pruned solver against brute force, and friends."""
 
+import itertools
 import random
 from collections import Counter
+from math import comb
+
+import pytest
 
 from conftest import (
     oracle_scan_edges,
@@ -12,6 +16,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from reference_search import reference_partitions, reference_spectrum
 
+from bihyper import solver
 from bihyper import (
     CapExceeded,
     DimsSpec,
@@ -71,6 +76,73 @@ def planted_mixed_hypergraphs(draw):
         if classes > 1 and rng.random() < 0.7:
             d_edges.append(e)
     return make_mixed_hypergraph([(i + 1,) for i in range(n)], c_edges, d_edges)
+
+
+@st.composite
+def dense_triple_hypergraphs(draw):
+    """5-9 vertices whose 3-element edges crowd a core of 5-8 of them: more
+    than two for every three core pairs, so they take the search's pair path.
+
+    Each 3-element edge is a C-edge, a D-edge or both; up to three 2- and
+    4-element edges anywhere stay on the edge path.
+    """
+    n = draw(st.integers(min_value=5, max_value=9))
+    k = draw(st.integers(min_value=5, max_value=min(n, 8)))
+    core = sorted(draw(st.permutations(range(n)))[:k])
+    triples = draw(st.lists(st.sampled_from(list(itertools.combinations(core, 3))),
+                            min_size=2 * comb(k, 2) // 3 + 1, unique=True))
+    other = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=4,
+                     unique=True).filter(lambda e: len(e) != 3)
+    return families(draw, n, triples + draw(st.lists(other, max_size=3)))
+
+
+@st.composite
+def sparse_triple_hypergraphs(draw):
+    """4-9 vertices whose 3-element edges share no vertex pair, so they stay
+    on the search's edge path, with up to three 2- and 4-element edges."""
+    n = draw(st.integers(min_value=4, max_value=9))
+    member = st.integers(min_value=0, max_value=n - 1)
+    triples, seen = [], set()
+    for e in draw(st.lists(st.lists(member, min_size=3, max_size=3, unique=True), max_size=12)):
+        pairs = set(itertools.combinations(sorted(e), 2))
+        if not pairs & seen:
+            seen |= pairs
+            triples.append(e)
+    other = st.lists(member, min_size=2, max_size=4, unique=True).filter(lambda e: len(e) != 3)
+    return families(draw, n, triples + draw(st.lists(other, max_size=3)))
+
+
+def families(draw, n, edges):
+    """`edges` on n vertices, each drawn into C only, D only or both."""
+    sides = draw(st.lists(st.sampled_from(["C", "D", "CD"]), min_size=len(edges),
+                          max_size=len(edges)))
+    return make_mixed_hypergraph([(i + 1,) for i in range(n)],
+                                 [e for e, f in zip(edges, sides) if "C" in f],
+                                 [e for e, f in zip(edges, sides) if "D" in f])
+
+
+@pytest.mark.parametrize(("strategy", "pair_path"),
+                         [(dense_triple_hypergraphs(), True), (sparse_triple_hypergraphs(), False)],
+                         ids=["dense", "sparse"])
+def test_both_search_paths_match_brute_force(strategy, pair_path):
+    real = solver._pairs_pay
+    verdicts = []  # the pair-path rule as the search applied it
+
+    def spy(pairs, triples):
+        verdicts.append(real(pairs, triples))
+        return verdicts[-1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(strategy)
+    def check(h):
+        verdicts.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_pairs_pay", spy)
+            spectrum = chromatic_spectrum(h)
+        assert verdicts == [pair_path]
+        assert spectrum == brute_force_spectrum(h)
+
+    check()
 
 
 def test_solver_matches_reference_search_beyond_brute_force():

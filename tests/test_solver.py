@@ -29,6 +29,7 @@ from bihyper import (
     is_proper_coloring,
     make_mixed_hypergraph,
     product_bihypergraph,
+    reduced_bihypergraph,
     verify_edge_maximality,
     verify_reduced_equivalence,
 )
@@ -187,8 +188,8 @@ def test_time_budget_polls_the_clock_under_batched_leaves():
 
 
 def test_time_budget_counts_the_edges_each_try_scans(clock):
-    # (5,4,3) needs 166 class tries, far fewer than 4096, but each scans about
-    # 288 incident edges: the clock must be read long before the search ends
+    # (5,4,3) needs 166 class tries, far fewer than 4096, but each scans the
+    # tried vertex's 59 partners: the clock must be read long before the search ends
     h = product_bihypergraph(DimsSpec.of(5, 4, 3))
     clock.tick = 1.0  # every read finds the last one's deadline passed
     with pytest.raises(CapExceeded, match="during enumeration") as err:
@@ -198,6 +199,40 @@ def test_time_budget_counts_the_edges_each_try_scans(clock):
     clock.reads = 0
     assert chromatic_spectrum(h).counts[2:] == (1, 1, 1)  # no budget: no clock read
     assert clock.reads == 0
+
+
+def test_time_budget_covers_the_index_build(clock):
+    # (6,5,4) has 28,800 edges: each pass of the index build reads the clock
+    # after every 8,192 of them, so the budget trips before the first node
+    h = product_bihypergraph(DimsSpec.of(6, 5, 4))
+    clock.tick = 1.0
+    with pytest.raises(CapExceeded, match="indexing") as err:
+        chromatic_spectrum(h, EnumerationConfig(max_vertices=120, time_budget=0.5))
+    assert err.value.stats == {"nodes": 0, "found": 0}
+    assert clock.reads == 2  # the deadline, then the first block's end
+
+
+@pytest.mark.parametrize(("build", "pair_path", "nodes"), [
+    (lambda: product_bihypergraph(DimsSpec.of(7, 3, 3)), True, 178),
+    (lambda: product_bihypergraph(DimsSpec.of(5, 4, 3)), True, 166),
+    (lambda: product_bihypergraph(DimsSpec.of(6, 5, 4)), True, 338),
+    (lambda: reduced_bihypergraph(DimsSpec.of(12, 10, 8, 6, 4)), True, 149),
+    (lambda: edgeless(10), False, 26_442),
+], ids=["product733", "product543", "product654", "reduced", "edgeless10"])
+def test_branching_is_pinned(monkeypatch, build, pair_path, nodes):
+    # class tries: both paths narrow to the same masks, so these counts pin
+    # the branching whichever path an instance takes
+    verdicts = []  # the pair-path rule as the search applied it
+    real = solver._pairs_pay
+
+    def spy(pairs, triples):
+        verdicts.append(real(pairs, triples))
+        return verdicts[-1]
+
+    monkeypatch.setattr(solver, "_pairs_pay", spy)
+    cfg = EnumerationConfig(max_vertices=120)
+    assert solver._search(build(), cfg, lambda labels, v, allowed, fresh: None) == nodes
+    assert verdicts == [pair_path]
 
 
 def test_search_hands_over_the_last_vertex_as_one_mask():
