@@ -4,12 +4,13 @@ Two independent routes compute the same answers:
 
 * `enumerate_feasible_partitions` / `chromatic_spectrum`: one forward-checking
   backtracking loop on an explicit stack (`_search`: unit-rule narrowing of
-  an edge's last free member, through pair masks for 3-element edges where
-  pairs lie in many of them and per-edge counts of uncolored members
-  otherwise, branching on the fewest allowed classes, no recursion limit)
-  hands over restricted-growth label strings whose last vertex comes as one
-  class bitmask; the first expands, sorts and wraps each in a `Partition`
-  (equal classes share one tuple), the second counts each mask;
+  an edge's last free member, through one mask per vertex pair of the third
+  members of its 3-element bi-edges where pairs lie in many of them and
+  per-edge counts of uncolored members otherwise, branching on the fewest
+  allowed classes, no recursion limit) hands over restricted-growth label
+  strings whose last vertex comes as one class bitmask; the first expands,
+  sorts and wraps each in a `Partition` (equal classes share one tuple),
+  the second counts each mask;
 * `brute_force_spectrum`: an unpruned scan of ALL set partitions filtered by
   the public properness predicate, the trusted oracle for small inputs.
 
@@ -104,9 +105,9 @@ def _time_left(
 
 
 def _pairs_pay(pairs: int, triples: int) -> bool:
-    """Whether `_search` takes the pair path for `triples` 3-element edges
-    that cover `pairs` vertex pairs: trying a class at each vertex once scans
-    2 * pairs partners there, against 3 * triples incident edges."""
+    """Whether `_search` gives each of `pairs` vertex pairs one mask of the
+    third members of its 3-element bi-edges, `triples` in all: a class try at
+    each vertex scans 2 * pairs partners, against 3 * triples incident edges."""
     return 2 * pairs < 3 * triples
 
 
@@ -116,8 +117,8 @@ def _search(
     """Forward-checking depth-first search over restricted-growth assignments.
 
     Forward checking after Haralick & Elliott (1980), with fewest-choices
-    branching and degree tie-breaks as in Brelaz's DSATUR (1979), and
-    3-element edges kept as bitmasks in the style of San Segundo et al. (2011).
+    branching and degree tie-breaks as in Brelaz's DSATUR (1979), and 3-element
+    bi-edges kept as bitmasks in the style of San Segundo et al. (2011).
 
     Each vertex v carries one class bitmask `dom[v]`, the classes it may
     still take (-1 at the start: every class, fresh ones too). Once a colored
@@ -132,17 +133,18 @@ def _search(
 
     * edge path: every edge keeps a count of its uncolored members, and a
       class try at v scans v's incident edges for those left with one;
-    * pair path, for 3-element edges: each vertex pair {v, u} keeps a C mask
-      and a D mask of the third members of its edges, as bits of their ranks
-      in the branching order. A try of class c at v reads v's partners u: a
-      colored u of class c sends every free vertex in its D mask off c, and
-      one of class k != c narrows every free vertex in its C mask to {c, k}.
-      Each free vertex is narrowed once per class its edges with v call for.
+    * pair path, for 3-element bi-edges, which hold when they touch two
+      classes: each vertex pair {v, u} keeps one mask of the third members of
+      its 3-element bi-edges, as bits of their ranks in the branching order.
+      A try of class c at v reads v's partners u: a colored u of class c
+      sends every free vertex in its mask off c, and one of class k != c
+      narrows every free vertex in its mask to {c, k}. Each free vertex is
+      narrowed once per class its edges with v call for.
 
-    3-element edges take the pair path when it scans less (`_pairs_pay`):
-    when 2 * (the pairs they cover) < 3 * (their number). Products and the
-    reduced family do; sparse random hypergraphs keep every edge on the edge
-    path.
+    3-element bi-edges take the pair path when it scans less (`_pairs_pay`):
+    when 2 * (the pairs they cover) < 3 * (their number), as in products and
+    the reduced family. Other edges, C-only and D-only 3-element ones too,
+    stay on the edge path.
 
     A vertex left with no class prunes the branch (a wipeout). A narrowing
     that changes a mask goes on a trail and is undone on backtrack. Every
@@ -188,41 +190,34 @@ def _search(
         rank[v] = p
     bit = [1 << p for p in rank]  # bit[v]: v's rank as a one-bit mask
 
-    def pair_rows(family: tuple[tuple[int, ...], ...]) -> list[defaultdict[int, int]]:
-        """rows[a][b], a < b: the bits of the third members of the 3-element
-        edges of `family` through a and b."""
-        rows: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
-        for _, block in blocks(family):
-            for e in block:
-                if len(e) == 3:
-                    a, b, c = e
-                    row = rows[a]
-                    row[b] |= bit[c]
-                    row[c] |= bit[b]
-                    rows[b][c] |= bit[a]
-        return rows
-
-    c_rows = pair_rows(h.c_edges)
-    d_rows = c_rows if in_c is in_d else pair_rows(h.d_edges)
-    # pairs covered by 3-element edges: row a's partners b > a in either family
-    covered = [c if c is d else c.keys() | d.keys() for c, d in zip(c_rows, d_rows)]
-    sizes = list(map(len, edges))
-    triples = sizes.count(3)
-    pair_path = _pairs_pay(sum(map(len, covered)), triples)
-    # partners[v]: (u, C mask, D mask) per vertex u sharing a 3-element edge with v
-    partners: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    # the edges in both families: a bi-hypergraph's shared tuple, or those flagged so
+    bi = edges if in_c is in_d else [e for e, c, d in zip(edges, in_c, in_d) if c and d]
+    # rows[a][b], a < b: the bits of the third members of the 3-element bi-edges through a, b
+    rows: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
+    for _, block in blocks(bi):
+        for e in block:
+            if len(e) == 3:
+                a, b, c = e
+                row = rows[a]
+                row[b] |= bit[c]
+                row[c] |= bit[b]
+                rows[b][c] |= bit[a]
+    triples = list(map(len, bi)).count(3)
+    pair_path = _pairs_pay(sum(map(len, rows)), triples)
+    # partners[v]: (u, mask) per vertex u sharing a 3-element bi-edge with v
+    partners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     if pair_path:
-        for a, (row, c_row, d_row) in enumerate(zip(covered, c_rows, d_rows)):
-            for b in row:
-                cm, dm = c_row.get(b, 0), d_row.get(b, 0)
-                partners[a].append((b, cm, dm))
-                partners[b].append((a, cm, dm))
+        for a, row in enumerate(rows):
+            for b, m in row.items():
+                partners[a].append((b, m))
+                partners[b].append((a, m))
         # the edge path keeps the other edges only
-        kept = [i for i, k in enumerate(sizes) if k != 3] if triples < len(edges) else []
+        kept = [] if triples == len(edges) else [
+            i for i, e in enumerate(edges) if len(e) != 3 or not (in_c[i] and in_d[i])]
         edges = [edges[i] for i in kept]
         in_c = [in_c[i] for i in kept]
         in_d = [in_d[i] for i in kept]
-    del c_rows, d_rows, covered, sizes
+    del bi, rows
     left = [len(e) for e in edges]  # uncolored members per edge-path edge
     incident: list[list[int]] = [[] for _ in range(n)]
     for lo, block in blocks(edges):
@@ -307,14 +302,13 @@ def _search(
                         )
             labels[v] = color
             if pair_path:
-                # by[k]: ranks of the third members of v's 3-element edges
-                # with a partner of class k (their D masks for k == color)
+                # by[k]: ranks of the third members of v's 3-element bi-edges
+                # with a partner of class k
                 by = [0] * (used[d] + 1)
-                for u, cm, dm in partners[v]:
+                for u, m in partners[v]:
                     k = labels[u]
-                    if k < 0:
-                        continue
-                    by[k] |= dm if k == color else cm
+                    if k >= 0:
+                        by[k] |= m
                 wiped = False
                 for k, ranks in enumerate(by):
                     ranks &= free

@@ -79,21 +79,29 @@ def planted_mixed_hypergraphs(draw):
 
 
 @st.composite
-def dense_triple_hypergraphs(draw):
+def dense_triple_hypergraphs(draw, bi=True):
     """5-9 vertices whose 3-element edges crowd a core of 5-8 of them: more
-    than two for every three core pairs, so they take the search's pair path.
+    than two for every three core pairs. As bi-edges they take the search's
+    pair path; with `bi=False` each is a C-edge or a D-edge only, and all of
+    them stay on the edge path.
 
-    Each 3-element edge is a C-edge, a D-edge or both; up to three 2- and
-    4-element edges anywhere stay on the edge path.
+    Up to three more 3-element edges, each a C-edge or a D-edge only, and up
+    to three 2- and 4-element edges anywhere stay on the edge path too.
     """
     n = draw(st.integers(min_value=5, max_value=9))
     k = draw(st.integers(min_value=5, max_value=min(n, 8)))
     core = sorted(draw(st.permutations(range(n)))[:k])
     triples = draw(st.lists(st.sampled_from(list(itertools.combinations(core, 3))),
                             min_size=2 * comb(k, 2) // 3 + 1, unique=True))
+    one_family = st.sampled_from(["C", "D"])
+    side = st.just("CD") if bi else one_family
+    # distinct from the core's and from each other, so no two make a bi-edge
+    rest = sorted(set(itertools.combinations(range(n), 3)) - set(triples))
+    extra = draw(st.lists(st.sampled_from(rest), max_size=3, unique=True)) if rest else []
+    placed = [(e, draw(side)) for e in triples] + [(e, draw(one_family)) for e in extra]
     other = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=4,
                      unique=True).filter(lambda e: len(e) != 3)
-    return families(draw, n, triples + draw(st.lists(other, max_size=3)))
+    return families(draw, n, draw(st.lists(other, max_size=3)), placed)
 
 
 @st.composite
@@ -112,18 +120,22 @@ def sparse_triple_hypergraphs(draw):
     return families(draw, n, triples + draw(st.lists(other, max_size=3)))
 
 
-def families(draw, n, edges):
-    """`edges` on n vertices, each drawn into C only, D only or both."""
+def families(draw, n, edges, placed=()):
+    """`edges` on n vertices, each drawn into C only, D only or both, and the
+    `(edge, side)` pairs `placed`, side "C", "D" or "CD"."""
     sides = draw(st.lists(st.sampled_from(["C", "D", "CD"]), min_size=len(edges),
                           max_size=len(edges)))
+    placed = [*placed, *zip(edges, sides)]
     return make_mixed_hypergraph([(i + 1,) for i in range(n)],
-                                 [e for e, f in zip(edges, sides) if "C" in f],
-                                 [e for e, f in zip(edges, sides) if "D" in f])
+                                 [e for e, f in placed if "C" in f],
+                                 [e for e, f in placed if "D" in f])
 
 
 @pytest.mark.parametrize(("strategy", "pair_path"),
-                         [(dense_triple_hypergraphs(), True), (sparse_triple_hypergraphs(), False)],
-                         ids=["dense", "sparse"])
+                         [(dense_triple_hypergraphs(), True),
+                          (dense_triple_hypergraphs(bi=False), False),
+                          (sparse_triple_hypergraphs(), False)],
+                         ids=["dense", "dense_one_family", "sparse"])
 def test_both_search_paths_match_brute_force(strategy, pair_path):
     real = solver._pairs_pay
     verdicts = []  # the pair-path rule as the search applied it

@@ -40,6 +40,10 @@ def edgeless(n):
     return make_mixed_hypergraph([(i + 1,) for i in range(n)], [], [])
 
 
+def c_edges_only(h):
+    return make_mixed_hypergraph(h.vertices, h.c_edges, [], dims=h.dims)
+
+
 def h33_plus_diagonal():
     h = product_bihypergraph(DimsSpec.of(3, 3))
     index = {v: i for i, v in enumerate(h.vertices)}
@@ -218,10 +222,12 @@ def test_time_budget_covers_the_index_build(clock):
     (lambda: product_bihypergraph(DimsSpec.of(6, 5, 4)), True, 338),
     (lambda: reduced_bihypergraph(DimsSpec.of(12, 10, 8, 6, 4)), True, 149),
     (lambda: edgeless(10), False, 26_442),
-], ids=["product733", "product543", "product654", "reduced", "edgeless10"])
+    (lambda: c_edges_only(product_bihypergraph(DimsSpec.of(4, 3))), False, 2_067),
+], ids=["product733", "product543", "product654", "reduced", "edgeless10", "c_only43"])
 def test_branching_is_pinned(monkeypatch, build, pair_path, nodes):
     # class tries: both paths narrow to the same masks, so these counts pin
-    # the branching whichever path an instance takes
+    # the branching whichever path an instance takes. Only 3-element bi-edges
+    # take the pair path: the (4,3) product's edges as C-edges alone do not
     verdicts = []  # the pair-path rule as the search applied it
     real = solver._pairs_pay
 
