@@ -9,8 +9,11 @@ realized.
 The reduced family keeps only a small certifying subset of the box, of size
 2*n_1 + n_2 + s - 2, chosen so that the feasible set and spectrum survive the
 restriction. It is the product's derived sub-hypergraph on that subset, so
-both families take their edges from one generator, `_two_valued_triples`,
-applied to their own vertex list.
+both families come from one generator, `_two_valued_rows`, applied to their
+own vertex list. It yields pair masks, not edges: for each vertex pair, one
+bitmask of the third members that make a bi-edge with it. The hypergraph
+keeps them for the exact search and makes its edge tuples from them only
+when they are read.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from typing import Iterable, Mapping, Sequence
 from .model import (
     DimsSpec,
     MixedHypergraph,
+    PairRows,
     Partition,
     Vertex,
-    make_mixed_hypergraph,
+    _from_pair_rows,
 )
 
 __all__ = [
@@ -82,35 +86,35 @@ def box_vertices(d: DimsSpec) -> tuple[Vertex, ...]:
     return tuple(itertools.product(*(range(1, n + 1) for n in d.dims)))
 
 
-def _two_valued_triples(verts: Sequence[Vertex]) -> list[tuple[int, int, int]]:
-    """Sorted index triples of distinct `verts` with two values in every coordinate.
+def _two_valued_rows(verts: Sequence[Vertex]) -> PairRows:
+    """Pair masks of the triples of distinct `verts` with two values in every
+    coordinate: `rows[i][j - i - 1]`, for i < j, has bit k set for every such
+    triple {i, j, k}, k on either side of i and j.
 
     `at[c][a]` masks the vertices whose coordinate c is a. The third members of
-    a pair i < j start as every k > j; each coordinate keeps those unlike the
-    pair where it agrees, else those equal to one of the pair.
+    a pair start as every k other than i and j; each coordinate keeps those
+    unlike the pair where it agrees, else those equal to one of the pair.
     """
     at: list[dict[int, int]] = [{} for _ in verts[0]]
     for i, v in enumerate(verts):
         for m, a in zip(at, v):
             m[a] = m.get(a, 0) | 1 << i
-    edges: list[tuple[int, int, int]] = []
+    rows = []
     for i, x in enumerate(verts):
+        row = []
         for j in range(i + 1, len(verts)):
-            cand = -1 << (j + 1)
+            cand = ~(1 << i | 1 << j)
             for m, a, b in zip(at, x, verts[j]):
                 cand &= ~m[a] if a == b else m[a] | m[b]
-            while cand:
-                low = cand & -cand
-                edges.append((i, j, low.bit_length() - 1))
-                cand ^= low
-    return edges
+            row.append(cand)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def product_bihypergraph(d: DimsSpec) -> MixedHypergraph:
     """Bi-hypergraph on the full box with the exactly-two-values edge rule."""
     verts = box_vertices(d)
-    edges = _two_valued_triples(verts)
-    return make_mixed_hypergraph(verts, edges, edges, dims=d.dims)
+    return _from_pair_rows(verts, _two_valued_rows(verts), dims=d.dims)
 
 
 def canonical_coloring(d: DimsSpec, axis: int) -> Partition:
@@ -201,5 +205,4 @@ def reduced_bihypergraph(d: DimsSpec) -> MixedHypergraph:
     product (potentially huge) is never materialized.
     """
     verts = sorted(reduced_vertex_set(d))
-    edges = _two_valued_triples(verts)
-    return make_mixed_hypergraph(verts, edges, edges, dims=d.dims)
+    return _from_pair_rows(verts, _two_valued_rows(verts), dims=d.dims)

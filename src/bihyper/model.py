@@ -16,14 +16,18 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from functools import reduce
+from itertools import chain, count, islice, repeat
 from math import prod
-from operator import itemgetter, lt
+from operator import and_, itemgetter, lt, or_, rshift
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 Vertex = tuple[int, ...]
 Edge = tuple[int, ...]
+# a builder's pair masks: rows[i][j - i - 1], for i < j, has bit k set for
+# each 3-element bi-edge {i, j, k}
+PairRows = tuple[tuple[int, ...], ...]
 
 __all__ = [
     "Vertex",
@@ -120,12 +124,32 @@ class MixedHypergraph:
     edge lists themselves sorted; equality is therefore structural. `dims` is
     optional metadata recording the coordinate box the vertices came from.
     Build instances through `make_mixed_hypergraph`, which validates input.
+
+    The family builders hand over pair masks instead of edges. For each vertex
+    pair i < j, `pair_rows[i][j - i - 1]` has bit k set for each 3-element
+    bi-edge {i, j, k}, k on either side of the pair; the exact search reads
+    these masks as they are. `c_edges` and `d_edges`, one shared tuple, are
+    made from them on first access, each mask's bits above j in ascending
+    order, and then kept. `pair_rows` takes no part in equality, hashing,
+    `repr` or JSON: a hypergraph from any other source has none, and it
+    equals a builder's hypergraph with the same edges.
     """
 
     vertices: tuple[Vertex, ...]
     c_edges: tuple[Edge, ...]
     d_edges: tuple[Edge, ...]
     dims: tuple[int, ...] | None = None
+    pair_rows: PairRows | None = field(default=None, compare=False, repr=False)
+
+    def __getattr__(self, name: str) -> tuple[Edge, ...]:
+        # reached only for an attribute not set: the edge families of a
+        # hypergraph made from pair rows, until they are first read
+        if name not in ("c_edges", "d_edges") or self.pair_rows is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        state = vars(self)
+        edges = state.setdefault("c_edges", _pair_rows_edges(self.pair_rows))
+        state.setdefault("d_edges", edges)
+        return edges
 
     @property
     def n(self) -> int:
@@ -207,20 +231,10 @@ def _canonical_edges(edges: Iterable[Iterable[int]], n: int, family: str) -> tup
     return tuple(sorted(dict.fromkeys(map(tuple, map(sorted, raw)))))
 
 
-def make_mixed_hypergraph(
-    vertices: Iterable[Vertex],
-    c_edges: Iterable[Iterable[int]],
-    d_edges: Iterable[Iterable[int]],
-    dims: Iterable[int] | None = None,
-) -> MixedHypergraph:
-    """Validate and canonicalize a mixed hypergraph.
-
-    Raises ValueError for an empty vertex set, ragged or duplicated coordinate
-    tuples, coordinates or `dims` entries that are not positive ints, edge
-    indices that are out of range or not ints, edges with repeated vertices,
-    or edges of size < 2. Nothing is coerced: `1.7` and `True` are refused.
-    Duplicate edges within a family are silently merged.
-    """
+def _checked_vertices(
+    vertices: Iterable[Vertex], dims: Iterable[int] | None
+) -> tuple[tuple[Vertex, ...], tuple[int, ...] | None]:
+    """The vertices and `dims` as tuples, after `make_mixed_hypergraph`'s checks."""
     verts = tuple(map(tuple, vertices))
     if not verts:
         raise ValueError("vertex set must be non-empty")
@@ -240,6 +254,24 @@ def make_mixed_hypergraph(
         for v in verts:
             if any(not 1 <= c <= m for c, m in zip(v, box)):
                 raise ValueError(f"vertex {v} outside the box {box}")
+    return verts, box
+
+
+def make_mixed_hypergraph(
+    vertices: Iterable[Vertex],
+    c_edges: Iterable[Iterable[int]],
+    d_edges: Iterable[Iterable[int]],
+    dims: Iterable[int] | None = None,
+) -> MixedHypergraph:
+    """Validate and canonicalize a mixed hypergraph.
+
+    Raises ValueError for an empty vertex set, ragged or duplicated coordinate
+    tuples, coordinates or `dims` entries that are not positive ints, edge
+    indices that are out of range or not ints, edges with repeated vertices,
+    or edges of size < 2. Nothing is coerced: `1.7` and `True` are refused.
+    Duplicate edges within a family are silently merged.
+    """
+    verts, box = _checked_vertices(vertices, dims)
     # a bi-hypergraph keeps one edge tuple for both families; equal input
     # families are also canonicalized only once
     c_canon = _canonical_edges(c_edges, len(verts), "C")
@@ -249,6 +281,48 @@ def make_mixed_hypergraph(
         if d_canon == c_canon:
             d_canon = c_canon
     return MixedHypergraph(vertices=verts, c_edges=c_canon, d_edges=d_canon, dims=box)
+
+
+def _from_pair_rows(
+    vertices: Iterable[Vertex], rows: PairRows, dims: Iterable[int] | None = None
+) -> MixedHypergraph:
+    """The bi-hypergraph a builder's pair masks give (see `MixedHypergraph`).
+
+    The vertices and `dims` get every check of `make_mixed_hypergraph`. The
+    rows get one pass per row, in place of the edges' bulk check: one mask per
+    pair, each an int within the vertex range with neither of its own pair's
+    bits set. Each edge lies in three masks, which the rows must agree on; the
+    builders make them so, and this is not checked."""
+    verts, box = _checked_vertices(vertices, dims)
+    n = len(verts)
+    if len(rows) != n:
+        raise ValueError(f"{len(rows)} pair rows for {n} vertices")
+    for i, row in enumerate(rows):
+        if len(row) != n - i - 1 or set(map(type, row)) - {int} or row and (
+            min(row) < 0 or max(row) >> n  # bits in range
+            or reduce(or_, row) >> i & 1  # no bit i, nor bit j in the mask of i, j
+            or any(map(and_, map(rshift, row, count(i + 1)), repeat(1)))
+        ):
+            raise ValueError(f"pair row {i} is not one mask of third members per pair")
+    h = MixedHypergraph.__new__(MixedHypergraph)
+    vars(h).update(vertices=verts, dims=box, pair_rows=rows)  # edges made on first read
+    return h
+
+
+def _pair_rows_edges(rows: PairRows) -> tuple[Edge, ...]:
+    """The edges (i, j, k) the rows hold, sorted: each mask's bits above j."""
+    edges: list[Edge] = []
+    append = edges.append
+    for i, row in enumerate(rows):
+        for j, m in enumerate(row, i + 1):
+            k = j
+            m >>= j + 1
+            while m:
+                step = (m & -m).bit_length()  # to the next member
+                k += step
+                append((i, j, k))
+                m >>= step
+    return tuple(edges)
 
 
 def _label_classes(labels: Iterable[int]) -> Iterator[tuple[int, ...]]:

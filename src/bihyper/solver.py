@@ -5,8 +5,9 @@ Two independent routes compute the same answers:
 * `enumerate_feasible_partitions` / `chromatic_spectrum`: one forward-checking
   backtracking loop on an explicit stack (`_search`: unit-rule narrowing of
   an edge's last free member, through one mask per vertex pair of the third
-  members of its 3-element bi-edges where pairs lie in many of them and
-  per-edge counts of uncolored members otherwise, branching on the fewest
+  members of its 3-element bi-edges where pairs lie in many of them, read
+  as the family builders made them or built from the edges, and per-edge
+  counts of uncolored members otherwise, branching on the fewest
   allowed classes, no recursion limit) hands over restricted-growth label
   strings whose last vertex comes as one class bitmask; the first expands,
   sorts and wraps each in a `Partition` (equal classes share one tuple),
@@ -135,7 +136,7 @@ def _search(
       class try at v scans v's incident edges for those left with one;
     * pair path, for 3-element bi-edges, which hold when they touch two
       classes: each vertex pair {v, u} keeps one mask of the third members of
-      its 3-element bi-edges, as bits of their ranks in the branching order.
+      its 3-element bi-edges, bit w for vertex w.
       A try of class c at v reads v's partners u: a colored u of class c
       sends every free vertex in its mask off c, and one of class k != c
       narrows every free vertex in its mask to {c, k}. Each free vertex is
@@ -145,6 +146,18 @@ def _search(
     when 2 * (the pairs they cover) < 3 * (their number), as in products and
     the reduced family. Other edges, C-only and D-only 3-element ones too,
     stay on the edge path.
+
+    The index comes by one of two routes, chosen by the input:
+
+    * rows route, for a hypergraph a builder made (`h.pair_rows`): the
+      masks are the builder's, each vertex's degree is the popcount of its
+      masks, and the edge tuples are neither read nor made (unless the rule
+      sends the edges to the edge path);
+    * edge route, for any other hypergraph: degrees come from one pass over
+      the edges, and the masks from a second.
+
+    Masks stay in vertex bits on both routes, so the branching order needs
+    no remapping; `blank` masks the unbranched vertices in the same bits.
 
     A vertex left with no class prunes the branch (a wipeout). A narrowing
     that changes a mask goes on a trail and is undone on backtrack. Every
@@ -161,63 +174,96 @@ def _search(
     gets them at once, with `labels[v] == -1` and bit `fresh` opening a class.
     `labels` is reused: copy it to keep it, reset `labels[v]` after writing it.
     Returns `nodes`, the class tries above v. Under a budget the index build
-    reads the clock once per `_INDEX_EVERY` edges, and the search once per
-    `_CLOCK_EVERY` units of work: 1 per class try plus the partners and
-    incident edges it scans.
+    reads the clock once per `_INDEX_EVERY` edges in each pass of the edge
+    route, and once per 3 * `_INDEX_EVERY` units on the rows route, where a
+    vertex pair costs 1 plus its mask's bits (each edge is a bit in three
+    masks). The search reads it once per `_CLOCK_EVERY` units of work: 1 per
+    class try plus the partners and incident edges it scans.
     """
     cfg.check_vertices(h.n)
     deadline = None if cfg.time_budget is None else time.perf_counter() + cfg.time_budget
 
+    def index_clock() -> None:
+        """Under a budget, a clock read between blocks of the index build."""
+        if deadline is not None and time.perf_counter() > deadline:
+            raise CapExceeded(
+                "time budget exceeded while indexing the edges", stats={"nodes": 0, "found": 0}
+            )
+
     def blocks(seq: tuple | list) -> Iterator[tuple[int, tuple | list]]:
-        """`(start, block)` over `seq` in blocks of `_INDEX_EVERY`, with a
-        clock read under a budget between blocks."""
+        """`(start, block)` over `seq` in blocks of `_INDEX_EVERY`, with
+        `index_clock` between blocks."""
         for lo in range(0, len(seq), _INDEX_EVERY):
-            if lo and deadline is not None and time.perf_counter() > deadline:
-                raise CapExceeded(
-                    "time budget exceeded while indexing the edges", stats={"nodes": 0, "found": 0}
-                )
+            if lo:
+                index_clock()
             yield lo, seq[lo:lo + _INDEX_EVERY]
 
     n = h.n
-    edges, in_c, in_d = h.edge_table()
-    degree: Counter[int] = Counter()
-    for _, block in blocks(edges):
-        degree.update(itertools.chain.from_iterable(block))
+    # partners[v]: (u, mask) per vertex u sharing a 3-element bi-edge with v,
+    # the mask in vertex bits of the third members of their bi-edges
+    partners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    if h.pair_rows is not None:
+        # a builder's masks, and its edges are all 3-element bi-edges. degree[v]
+        # counts each edge through v twice: it is a bit in two of v's masks
+        degree = [0] * n
+        work = 0
+        for a, row in enumerate(h.pair_rows):
+            work += len(row)
+            for b, m in enumerate(row, a + 1):
+                if m:
+                    k = m.bit_count()
+                    degree[a] += k
+                    degree[b] += k
+                    work += k
+                    partners[a].append((b, m))
+                    partners[b].append((a, m))
+            if work >= 3 * _INDEX_EVERY:  # each edge is a bit in three masks
+                work = 0
+                index_clock()
+        # a pair is in two partner lists; an edge counts twice for each of its 3 members
+        pair_path = _pairs_pay(sum(map(len, partners)) // 2, sum(degree) // 6)
+        if pair_path:
+            edges, in_c, in_d = (), [], []
+        else:
+            partners = [[] for _ in range(n)]
+            edges, in_c, in_d = h.edge_table()
+    else:
+        edges, in_c, in_d = h.edge_table()
+        degree = Counter()
+        for _, block in blocks(edges):
+            degree.update(itertools.chain.from_iterable(block))
+        # the edges in both families: a bi-hypergraph's shared tuple, or those flagged so
+        bi = edges if in_c is in_d else [e for e, c, d in zip(edges, in_c, in_d) if c and d]
+        # rows[a][b], a < b: the third members of the 3-element bi-edges through a, b
+        rows: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
+        for _, block in blocks(bi):
+            for e in block:
+                if len(e) == 3:
+                    a, b, c = e
+                    row = rows[a]
+                    row[b] |= 1 << c
+                    row[c] |= 1 << b
+                    rows[b][c] |= 1 << a
+        triples = list(map(len, bi)).count(3)
+        pair_path = _pairs_pay(sum(map(len, rows)), triples)
+        if pair_path:
+            for a, row in enumerate(rows):
+                for b, m in row.items():
+                    partners[a].append((b, m))
+                    partners[b].append((a, m))
+            # the edge path keeps the other edges only
+            kept = [] if triples == len(edges) else [
+                i for i, e in enumerate(edges) if len(e) != 3 or not (in_c[i] and in_d[i])]
+            edges = [edges[i] for i in kept]
+            in_c = [in_c[i] for i in kept]
+            in_d = [in_d[i] for i in kept]
+        del bi, rows
     # ties go to the vertex in more edges, then to the lower index
     order = sorted(range(n), key=lambda v: (-degree[v], v))
     rank = [0] * n
     for p, v in enumerate(order):
         rank[v] = p
     bit = [1 << p for p in rank]  # bit[v]: v's rank as a one-bit mask
-
-    # the edges in both families: a bi-hypergraph's shared tuple, or those flagged so
-    bi = edges if in_c is in_d else [e for e, c, d in zip(edges, in_c, in_d) if c and d]
-    # rows[a][b], a < b: the bits of the third members of the 3-element bi-edges through a, b
-    rows: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
-    for _, block in blocks(bi):
-        for e in block:
-            if len(e) == 3:
-                a, b, c = e
-                row = rows[a]
-                row[b] |= bit[c]
-                row[c] |= bit[b]
-                rows[b][c] |= bit[a]
-    triples = list(map(len, bi)).count(3)
-    pair_path = _pairs_pay(sum(map(len, rows)), triples)
-    # partners[v]: (u, mask) per vertex u sharing a 3-element bi-edge with v
-    partners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    if pair_path:
-        for a, row in enumerate(rows):
-            for b, m in row.items():
-                partners[a].append((b, m))
-                partners[b].append((a, m))
-        # the edge path keeps the other edges only
-        kept = [] if triples == len(edges) else [
-            i for i, e in enumerate(edges) if len(e) != 3 or not (in_c[i] and in_d[i])]
-        edges = [edges[i] for i in kept]
-        in_c = [in_c[i] for i in kept]
-        in_d = [in_d[i] for i in kept]
-    del bi, rows
     left = [len(e) for e in edges]  # uncolored members per edge-path edge
     incident: list[list[int]] = [[] for _ in range(n)]
     for lo, block in blocks(edges):
@@ -226,6 +272,7 @@ def _search(
                 incident[v].append(i)
     cost = [1 + len(p) + len(i) for p, i in zip(partners, incident)]  # work per class try
     free = (1 << n) - 1  # bit p: order[p] is not yet branched on
+    blank = free  # bit v: v is not yet branched on
     labels = [-1] * n
     dom = [-1] * n
     # narrowed: vertices whose masks differ from the start, in the order they
@@ -264,6 +311,7 @@ def _search(
         else:
             var[d] = v
             free ^= bit[v]
+            blank ^= 1 << v
             todo = allowed  # rest[d] while the search is at depth d
             mark[d] = len(trail)
             # v stays counted as colored in its edges while it tries its classes
@@ -273,6 +321,7 @@ def _search(
             while not todo:
                 labels[v] = -1
                 free |= bit[v]
+                blank |= 1 << v
                 for i in incident[v]:
                     left[i] += 1
                 if d == 0:
@@ -302,23 +351,23 @@ def _search(
                         )
             labels[v] = color
             if pair_path:
-                # by[k]: ranks of the third members of v's 3-element bi-edges
-                # with a partner of class k
+                # by[k]: the third members of v's 3-element bi-edges with a
+                # partner of class k
                 by = [0] * (used[d] + 1)
                 for u, m in partners[v]:
                     k = labels[u]
                     if k >= 0:
                         by[k] |= m
                 wiped = False
-                for k, ranks in enumerate(by):
-                    ranks &= free
-                    if not ranks:
+                for k, third in enumerate(by):
+                    third &= blank
+                    if not third:
                         continue
                     keep = ~low if k == color else low | 1 << k
-                    while ranks:
-                        r = ranks & -ranks
-                        ranks ^= r
-                        w = order[r.bit_length() - 1]
+                    while third:
+                        r = third & -third
+                        third ^= r
+                        w = r.bit_length() - 1
                         mask = prev = dom[w]
                         mask &= keep
                         if mask == prev:

@@ -38,6 +38,31 @@ def oracle_scan_edges(verts):
     )
 
 
+def oracle_two_valued_triples(verts):
+    """The edge generator as it was before the builders kept pair masks: index
+    triples i < j < k of `verts` with two values in every coordinate, sorted.
+
+    `at[c][a]` masks the vertices whose coordinate c is a. The third members of
+    a pair i < j start as every k > j; each coordinate keeps those unlike the
+    pair where it agrees, else those equal to one of the pair.
+    """
+    at = [{} for _ in verts[0]]
+    for i, v in enumerate(verts):
+        for m, a in zip(at, v):
+            m[a] = m.get(a, 0) | 1 << i
+    edges = []
+    for i, x in enumerate(verts):
+        for j in range(i + 1, len(verts)):
+            cand = -1 << (j + 1)
+            for m, a, b in zip(at, x, verts[j]):
+                cand &= ~m[a] if a == b else m[a] | m[b]
+            while cand:
+                low = cand & -cand
+                edges.append((i, j, low.bit_length() - 1))
+                cand ^= low
+    return edges
+
+
 def oracle_edge_count(dims):
     """Closed form via inclusion-exclusion over degenerate triples."""
     s = len(dims)
