@@ -131,15 +131,16 @@ class MixedHypergraph:
     these masks as they are. `c_edges` and `d_edges`, one shared tuple, are
     made from them on first access, each mask's bits above j in ascending
     order, and then kept. `pair_rows` takes no part in equality, hashing,
-    `repr` or JSON: a hypergraph from any other source has none, and it
-    equals a builder's hypergraph with the same edges.
+    `repr` or JSON, and is no constructor argument (`dataclasses.replace`
+    drops it): a hypergraph from any other source has none, and it equals a
+    builder's hypergraph with the same edges.
     """
 
     vertices: tuple[Vertex, ...]
     c_edges: tuple[Edge, ...]
     d_edges: tuple[Edge, ...]
     dims: tuple[int, ...] | None = None
-    pair_rows: PairRows | None = field(default=None, compare=False, repr=False)
+    pair_rows: PairRows | None = field(default=None, init=False, compare=False, repr=False)
 
     def __getattr__(self, name: str) -> tuple[Edge, ...]:
         # reached only for an attribute not set: the edge families of a

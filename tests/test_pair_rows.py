@@ -7,6 +7,7 @@ edge route. Both must give what the edge tuples alone give.
 """
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import pickle
@@ -153,6 +154,16 @@ def test_pair_row_check_refuses_bad_masks():
         model._from_pair_rows([(1, 1), (1, 1), (2, 1), (2, 2)], good)
     with pytest.raises(ValueError):
         model._from_pair_rows(verts, good, dims=(1, 2))
+
+
+def test_pair_rows_are_no_constructor_option():
+    h = product_bihypergraph(DimsSpec.of(4, 3))
+    with pytest.raises(TypeError):  # only the builders set the masks
+        model.MixedHypergraph(h.vertices, h.c_edges, h.d_edges, pair_rows=h.pair_rows)
+    fewer = dataclasses.replace(h, c_edges=h.c_edges[1:], d_edges=h.d_edges[1:])
+    assert fewer.pair_rows is None  # replace() drops the masks with the edges
+    same = make_mixed_hypergraph(h.vertices, h.c_edges[1:], h.c_edges[1:], dims=h.dims)
+    assert search_trace(fewer) == search_trace(same)
 
 
 def test_builder_rows_fall_back_to_the_edge_path(monkeypatch):
