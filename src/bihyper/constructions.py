@@ -11,14 +11,18 @@ The reduced family keeps only a small certifying subset of the box, of size
 restriction. It is the product's derived sub-hypergraph on that subset, so
 both families come from one generator, `_two_valued_rows`, applied to their
 own vertex list. It yields pair masks, not edges: for each vertex pair, one
-bitmask of the third members that make a bi-edge with it. The hypergraph
-keeps them for the exact search and makes its edge tuples from them only
-when they are read.
+bitmask of the third members that make a bi-edge with it. It builds them a
+coordinate column at a time: a lookup per coordinate and value gives the
+third members a pair allows there, and each row is the AND of those lookups
+over the coordinate columns of the later vertices. The hypergraph keeps the
+masks for the exact search and makes its edge tuples from them only when
+they are read.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -91,23 +95,29 @@ def _two_valued_rows(verts: Sequence[Vertex]) -> PairRows:
     coordinate: `rows[i][j - i - 1]`, for i < j, has bit k set for every such
     triple {i, j, k}, k on either side of i and j.
 
-    `at[c][a]` masks the vertices whose coordinate c is a. The third members of
-    a pair start as every k other than i and j; each coordinate keeps those
-    unlike the pair where it agrees, else those equal to one of the pair.
+    `at[a]` masks the vertices whose coordinate is a. Where a pair agrees in a
+    coordinate (a, a), the third members are those unlike it there, `~at[a]`;
+    where it differs (a, b), those equal to one of the pair, `at[a] | at[b]`.
+    `allow[a][b]` holds that mask per coordinate, so row i is the AND, pair
+    by pair, of one lookup per coordinate over the column of values of the
+    vertices after i, and of a column dropping i and j themselves, which
+    stay in the mask when the pair differs in every coordinate.
     """
-    at: list[dict[int, int]] = [{} for _ in verts[0]]
-    for i, v in enumerate(verts):
-        for m, a in zip(at, v):
-            m[a] = m.get(a, 0) | 1 << i
+    n = len(verts)
+    cols = list(zip(*verts))
+    allows = []
+    for col in cols:
+        at: dict[int, int] = {}
+        for i, a in enumerate(col):
+            at[a] = at.get(a, 0) | 1 << i
+        allows.append({a: {b: ~m if a == b else m | at[b] for b in at} for a, m in at.items()})
+    drop = [~(1 << j) for j in range(n)]
     rows = []
     for i, x in enumerate(verts):
-        row = []
-        for j in range(i + 1, len(verts)):
-            cand = ~(1 << i | 1 << j)
-            for m, a, b in zip(at, x, verts[j]):
-                cand &= ~m[a] if a == b else m[a] | m[b]
-            row.append(cand)
-        rows.append(tuple(row))
+        row = map(operator.and_, drop[i + 1:], itertools.repeat(drop[i]))
+        for col, allow, a in zip(cols, allows, x):
+            row = map(operator.and_, row, map(allow[a].__getitem__, col[i + 1:]))
+        rows.append(tuple(list(row)))  # a list first: tuple(map(...)) fragments the heap
     return tuple(rows)
 
 

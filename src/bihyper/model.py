@@ -518,13 +518,23 @@ def derived_subhypergraph(h: MixedHypergraph, subset: Iterable[int]) -> MixedHyp
 # its value on that line: `indent` would turn off json's C encoder.
 
 
-def to_json_dict(h: MixedHypergraph) -> dict:
+def _json_fields(h: MixedHypergraph) -> dict:
+    """The fields of `to_json_dict(h)`, but with one list under both edge
+    keys when `h` keeps one edge tuple for both families."""
+    c_edges = [list(e) for e in h.c_edges]
     return {
         "dims": list(h.dims) if h.dims is not None else None,
         "vertices": [list(v) for v in h.vertices],
-        "c_edges": [list(e) for e in h.c_edges],
-        "d_edges": [list(e) for e in h.d_edges],
+        "c_edges": c_edges,
+        "d_edges": c_edges if h.d_edges is h.c_edges else [list(e) for e in h.d_edges],
     }
+
+
+def to_json_dict(h: MixedHypergraph) -> dict:
+    data = _json_fields(h)
+    if data["d_edges"] is data["c_edges"]:  # each key gets lists of its own
+        data["d_edges"] = [list(e) for e in h.d_edges]
+    return data
 
 
 def _json_lists(data: Mapping, key: str) -> list:
@@ -553,7 +563,13 @@ def from_json_dict(data: Mapping) -> MixedHypergraph:
 
 
 def save_hypergraph(h: MixedHypergraph, path: str | Path) -> None:
-    lines = (f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in to_json_dict(h).items())
+    """Write `to_json_dict(h)`, one key per line. A bi-hypergraph's edge list
+    is serialized once, and the text written under both edge keys."""
+    data = _json_fields(h)
+    edges = data["c_edges"]
+    edges_text = json.dumps(edges)
+    lines = (f"  {json.dumps(k)}: {edges_text if v is edges else json.dumps(v)}"
+             for k, v in data.items())
     Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 

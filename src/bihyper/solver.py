@@ -3,15 +3,18 @@
 Two independent routes compute the same answers:
 
 * `enumerate_feasible_partitions` / `chromatic_spectrum`: one forward-checking
-  backtracking loop on an explicit stack (`_search`: unit-rule narrowing of
-  an edge's last free member, through one mask per vertex pair of the third
-  members of its 3-element bi-edges where pairs lie in many of them, read
-  as the family builders made them or built from the edges, and per-edge
-  counts of uncolored members otherwise, branching on the fewest
-  allowed classes, no recursion limit) hands over restricted-growth label
-  strings whose last vertex comes as one class bitmask; the first expands,
-  sorts and wraps each in a `Partition` (equal classes share one tuple),
-  the second counts each mask;
+  backtracking loop on an explicit stack, `_search`, hands over
+  restricted-growth label strings whose last vertex comes as one class
+  bitmask; the first expands, sorts and wraps each in a `Partition` (equal
+  classes share one tuple), the second counts each mask. `_search` narrows
+  an edge's last free member by unit rules: through one mask per vertex pair
+  of the third members of its 3-element bi-edges where pairs lie in many of
+  them (read as the family builders made them or built from the edges),
+  where set tests on per-class masks decide the vertices left with one
+  class, and through per-edge counts of uncolored members otherwise. It
+  branches on the fewest allowed classes, found by a rank-order scan of the
+  narrowed vertices that stops at the first with one class, and has no
+  recursion limit;
 * `brute_force_spectrum`: an unpruned scan of ALL set partitions filtered by
   the public properness predicate, the trusted oracle for small inputs.
 
@@ -141,6 +144,15 @@ def _search(
       sends every free vertex in its mask off c, and one of class k != c
       narrows every free vertex in its mask to {c, k}. Each free vertex is
       narrowed once per class its edges with v call for.
+      When this path is on, the search also keeps `one[c]`, the vertex bits
+      of the vertices whose mask is exactly class c, and `single`, their
+      union: a narrowing on either path that leaves one class sets them, and
+      its undo clears them. The edge path never reads them, so an input that
+      takes it alone does not keep them. Set tests decide those vertices at
+      once: one left with c alone, in a mask that sends it off c, or one
+      left with a class other than c and k, in a mask that narrows it to
+      {c, k}, is a wipeout; any other keeps its class. Only
+      the free vertices outside `single` are narrowed one at a time.
 
     3-element bi-edges take the pair path when it scans less (`_pairs_pay`):
     when 2 * (the pairs they cover) < 3 * (their number), as in products and
@@ -165,7 +177,13 @@ def _search(
     finished edge needs no check. The search branches on the free vertex
     with the fewest allowed classes; ties go to the vertex in more edges,
     then to the lower index, so a contradiction among busy vertices is met
-    before the idle ones are enumerated. A vertex may take a used class or
+    before the idle ones are enumerated. Only the narrowed vertices can
+    allow fewer classes than an untouched one, so the pick scans them, kept
+    as a mask in rank bits, in rank order, and stops at the first with one
+    class left. No free vertex allows none: unopened classes are kept or
+    dropped together, so a mask with no bit among the open classes and the
+    fresh one is empty, and an empty mask was already a wipeout. The early
+    stop thus picks the vertex the full scan would. A vertex may take a used class or
     the one fresh class `used`, so the labels are restricted-growth strings
     in branching order and each partition is visited once.
 
@@ -275,10 +293,13 @@ def _search(
     blank = free  # bit v: v is not yet branched on
     labels = [-1] * n
     dom = [-1] * n
-    # narrowed: vertices whose masks differ from the start, in the order they
-    # first changed; trail: (vertex, previous mask) per change
-    narrowed: list[int] = []
-    trail: list[tuple[int, int]] = []
+    nar = 0  # bit p: order[p]'s mask differs from the start
+    trail: list[tuple[int, int]] = []  # (vertex, previous mask) per change
+    # kept on the pair path only, in vertex bits: one[c], the vertices whose
+    # mask is exactly class c; single, their union. A vertex wiped out of its
+    # one class stays in both until that narrowing is undone
+    one = [0] * n
+    single = 0
     var = [0] * n  # var[d]: the vertex branched on at depth d
     mark = [0] * n  # mark[d]: trail length when var[d] was picked
     rest = [0] * n  # rest[d]: classes var[d] has yet to try, saved on going deeper
@@ -289,17 +310,25 @@ def _search(
     while True:
         # pick var[d]: an untouched free vertex allows all used[d] + 1
         # classes and a narrowed one fewer, so only the first free vertex in
-        # `order` and the narrowed vertices compete
+        # `order` and the narrowed free vertices compete, scanned in rank
+        # order. Every free vertex allows a class here: unopened classes are
+        # kept or dropped together, so a mask with no bit in `top` is empty,
+        # and an empty mask was a wipeout. The first vertex with one class
+        # left thus ends the scan
         v = order[(free & -free).bit_length() - 1]
         allowed = top = (1 << (used[d] + 1)) - 1
-        if narrowed:
-            size = used[d] + 1
-            for w in narrowed:
-                if labels[w] < 0:
-                    mask = dom[w] & top
-                    k = mask.bit_count()
-                    if k < size or (k == size and rank[w] < rank[v]):
-                        v, allowed, size = w, mask, k
+        scan = nar & free
+        size = used[d] + 1
+        while scan:
+            r = scan & -scan
+            scan ^= r
+            w = order[r.bit_length() - 1]
+            mask = dom[w] & top
+            k = mask.bit_count()
+            if k < size:
+                v, allowed, size = w, mask, k
+                if k == 1:
+                    break
         if d == last:
             found += allowed.bit_count()  # no class tries: hand over the mask, back up
             leaf(labels, v, allowed, used[d])
@@ -333,9 +362,14 @@ def _search(
             # `trail and` spares the length call when nothing was ever trailed
             while trail and len(trail) > mark[d]:
                 w, prev = trail.pop()
+                if pair_path:
+                    mask = dom[w]
+                    if mask and not mask & (mask - 1):  # left with one class by this change
+                        one[mask.bit_length() - 1] ^= 1 << w
+                        single ^= 1 << w
                 dom[w] = prev
                 if prev == -1:
-                    narrowed.pop()  # undone in reverse order, so w is the last
+                    nar ^= bit[w]
             low = todo & -todo
             todo ^= low
             color = low.bit_length() - 1
@@ -363,7 +397,16 @@ def _search(
                     third &= blank
                     if not third:
                         continue
-                    keep = ~low if k == color else low | 1 << k
+                    # a vertex left with one class keeps it or is wiped out
+                    if k == color:
+                        wiped = third & one[color]
+                        keep = ~low
+                    else:
+                        wiped = third & single & ~(one[color] | one[k])
+                        keep = low | 1 << k
+                    if wiped:
+                        break
+                    third &= ~single
                     while third:
                         r = third & -third
                         third ^= r
@@ -373,12 +416,15 @@ def _search(
                         if mask == prev:
                             continue
                         if prev == -1:
-                            narrowed.append(w)
+                            nar |= bit[w]
                         trail.append((w, prev))
                         dom[w] = mask
-                        if not mask:
-                            wiped = True
-                            break
+                        if not mask & (mask - 1):  # no class or one class left
+                            if not mask:
+                                wiped = True
+                                break
+                            one[mask.bit_length() - 1] |= r
+                            single |= r
                     if wiped:
                         break
                 if wiped:
@@ -405,11 +451,14 @@ def _search(
                 if mask == prev:
                     continue
                 if prev == -1:
-                    narrowed.append(w)
+                    nar |= bit[w]
                 trail.append((w, prev))
                 dom[w] = mask
                 if not mask:
                     break  # wipeout: try the next class
+                if pair_path and not mask & (mask - 1):
+                    one[mask.bit_length() - 1] |= 1 << w
+                    single |= 1 << w
             else:
                 rest[d] = todo
                 used[d + 1] = used[d] + 1 if color == used[d] else used[d]

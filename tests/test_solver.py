@@ -218,12 +218,15 @@ def test_time_budget_covers_the_index_build(clock):
 
 @pytest.mark.parametrize(("build", "pair_path", "nodes"), [
     (lambda: product_bihypergraph(DimsSpec.of(7, 3, 3)), True, 178),
+    (lambda: product_bihypergraph(DimsSpec.of(6, 3, 3)), True, 151),
     (lambda: product_bihypergraph(DimsSpec.of(5, 4, 3)), True, 166),
     (lambda: product_bihypergraph(DimsSpec.of(6, 5, 4)), True, 338),
+    (lambda: product_bihypergraph(DimsSpec.of(6, 5, 4, 3)), True, 1_365),
     (lambda: reduced_bihypergraph(DimsSpec.of(12, 10, 8, 6, 4)), True, 149),
     (lambda: edgeless(10), False, 26_442),
     (lambda: c_edges_only(product_bihypergraph(DimsSpec.of(4, 3))), False, 2_067),
-], ids=["product733", "product543", "product654", "reduced", "edgeless10", "c_only43"])
+], ids=["product733", "product633", "product543", "product654", "product6543", "reduced",
+        "edgeless10", "c_only43"])
 def test_branching_is_pinned(monkeypatch, build, pair_path, nodes):
     # class tries: both paths narrow to the same masks, so these counts pin
     # the branching whichever path an instance takes. Only 3-element bi-edges
@@ -236,7 +239,7 @@ def test_branching_is_pinned(monkeypatch, build, pair_path, nodes):
         return verdicts[-1]
 
     monkeypatch.setattr(solver, "_pairs_pay", spy)
-    cfg = EnumerationConfig(max_vertices=120)
+    cfg = EnumerationConfig(max_vertices=360)
     assert solver._search(build(), cfg, lambda labels, v, allowed, fresh: None) == nodes
     assert verdicts == [pair_path]
 
@@ -423,6 +426,41 @@ def test_solver_agrees_with_direct_partition_scan():
         got = chromatic_spectrum(h)
         assert {k: got.r(k) for k in expected} == expected
         assert got.total_partitions == sum(expected.values())
+
+
+def dense_bi_instance(seed):
+    """5-9 vertices with n to 3n 3-element bi-edges, drawn from `seed`, and up
+    to three 2-edges, each a C-edge or a D-edge."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 9)
+    triples = list(itertools.combinations(range(n), 3))
+    bi = rng.sample(triples, rng.randint(n, min(3 * n, len(triples))))
+    c_edges, d_edges = list(bi), list(bi)
+    for _ in range(rng.randint(0, 3)):
+        e = rng.sample(range(n), 2)
+        (c_edges if rng.random() < 0.5 else d_edges).append(e)
+    return make_mixed_hypergraph([(i + 1,) for i in range(n)], c_edges, d_edges)
+
+
+def test_pair_path_matches_partition_scan_on_seeded_dense_instances(monkeypatch):
+    # a fixed sweep beside the Hypothesis one: the pair path's one-class set
+    # tests, their undo and the 2-edges that leave a vertex one class each go
+    # wrong on only a few such draws, so 40 random ones can miss a slip
+    real = solver._pairs_pay
+    verdicts = []
+
+    def spy(pairs, triples):
+        verdicts.append(real(pairs, triples))
+        return verdicts[-1]
+
+    monkeypatch.setattr(solver, "_pairs_pay", spy)
+    for seed in range(200):
+        h = dense_bi_instance(seed)
+        expected = oracle_spectrum(h)
+        got = chromatic_spectrum(h)
+        assert {k: got.r(k) for k in expected} == expected, seed
+        assert got.total_partitions == sum(expected.values()), seed
+    assert len(verdicts) == 200 and sum(verdicts) == 101  # the draws on the pair path
 
 
 # --- determinism -----------------------------------------------------------------------
