@@ -300,8 +300,9 @@ def _from_pair_rows(
         raise ValueError(f"{len(rows)} pair rows for {n} vertices")
     for i, row in enumerate(rows):
         if len(row) != n - i - 1 or set(map(type, row)) - {int} or row and (
-            min(row) < 0 or max(row) >> n  # bits in range
-            or reduce(or_, row) >> i & 1  # no bit i, nor bit j in the mask of i, j
+            # the OR is negative iff a mask is, and then has a bit >= n iff a mask has
+            (held := reduce(or_, row)) < 0 or held >> n
+            or held >> i & 1  # no bit i, nor bit j in the mask of i, j
             or any(map(and_, map(rshift, row, count(i + 1)), repeat(1)))
         ):
             raise ValueError(f"pair row {i} is not one mask of third members per pair")

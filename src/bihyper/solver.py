@@ -9,9 +9,10 @@ Two independent routes compute the same answers:
   classes share one tuple), the second counts each mask. `_search` narrows
   an edge's last free member by unit rules: through one mask per vertex pair
   of the third members of its 3-element bi-edges where pairs lie in many of
-  them (read as the family builders made them or built from the edges),
-  where set tests on per-class masks decide the vertices left with one
-  class, and through per-edge counts of uncolored members otherwise. It
+  them (the family builders' masks, or masks made in one pass over the
+  edges, kept as one full row per vertex and read at the colored vertices
+  only), where set tests on per-class masks decide the vertices left with
+  one class, and through per-edge counts of uncolored members otherwise. It
   branches on the fewest allowed classes, found by a rank-order scan of the
   narrowed vertices that stops at the first with one class, and has no
   recursion limit;
@@ -24,8 +25,9 @@ They deliberately share no search code.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, replace
 from math import comb
 from typing import Callable, Iterator
@@ -109,9 +111,10 @@ def _time_left(
 
 
 def _pairs_pay(pairs: int, triples: int) -> bool:
-    """Whether `_search` gives each of `pairs` vertex pairs one mask of the
-    third members of its 3-element bi-edges, `triples` in all: a class try at
-    each vertex scans 2 * pairs partners, against 3 * triples incident edges."""
+    """Whether `_search` narrows through one mask per vertex pair of the third
+    members of its 3-element bi-edges, `triples` in all over `pairs` pairs:
+    the vertices' rows then hold 2 * pairs masks, against 3 * triples
+    entries in the incident-edge lists."""
     return 2 * pairs < 3 * triples
 
 
@@ -140,7 +143,8 @@ def _search(
     * pair path, for 3-element bi-edges, which hold when they touch two
       classes: each vertex pair {v, u} keeps one mask of the third members of
       its 3-element bi-edges, bit w for vertex w.
-      A try of class c at v reads v's partners u: a colored u of class c
+      A try of class c at v reads v's masks at the colored vertices u alone,
+      `var[:d]`: a u of class c
       sends every free vertex in its mask off c, and one of class k != c
       narrows every free vertex in its mask to {c, k}. Each free vertex is
       narrowed once per class its edges with v call for.
@@ -159,17 +163,17 @@ def _search(
     the reduced family. Other edges, C-only and D-only 3-element ones too,
     stay on the edge path.
 
-    The index comes by one of two routes, chosen by the input:
-
-    * rows route, for a hypergraph a builder made (`h.pair_rows`): the
-      masks are the builder's, each vertex's degree is the popcount of its
-      masks, and the edge tuples are neither read nor made (unless the rule
-      sends the edges to the edge path);
-    * edge route, for any other hypergraph: degrees come from one pass over
-      the edges, and the masks from a second.
-
-    Masks stay in vertex bits on both routes, so the branching order needs
-    no remapping; `blank` masks the unbranched vertices in the same bits.
+    The masks come as triangular rows, `rows[a][b - a - 1]` for a < b: a
+    builder's hypergraph hands over its own (`h.pair_rows`), and its edge
+    tuples are neither read nor made unless the rule sends the edges to the
+    edge path; any other hypergraph gets rows of the same shape from one
+    pass over its edges, which lists the edges left to the edge path. The
+    rule counts pairs and triples on these rows. On the pair path each
+    vertex v then gets a full row, `pm[v][u]` for every u, made from its own
+    row and the column above it, and its degree is that row's popcount plus
+    2 per edge-path edge through it (each edge counts twice). Masks stay in
+    vertex bits, so the branching order needs no remapping; `blank` masks
+    the unbranched vertices in the same bits.
 
     A vertex left with no class prunes the branch (a wipeout). A narrowing
     that changes a mask goes on a trail and is undone on backtrack. Every
@@ -192,11 +196,12 @@ def _search(
     gets them at once, with `labels[v] == -1` and bit `fresh` opening a class.
     `labels` is reused: copy it to keep it, reset `labels[v]` after writing it.
     Returns `nodes`, the class tries above v. Under a budget the index build
-    reads the clock once per `_INDEX_EVERY` edges in each pass of the edge
-    route, and once per 3 * `_INDEX_EVERY` units on the rows route, where a
-    vertex pair costs 1 plus its mask's bits (each edge is a bit in three
-    masks). The search reads it once per `_CLOCK_EVERY` units of work: 1 per
-    class try plus the partners and incident edges it scans.
+    reads the clock once per `_INDEX_EVERY` edges in each pass over the
+    edges, and once per 6 * `_INDEX_EVERY` units while it makes the full
+    rows, where a vertex costs n plus its row's bits (each edge is a bit in
+    six row entries). The search reads it once per `_CLOCK_EVERY` units of
+    work: 1 per class try plus the incident edges it scans, and on the pair
+    path the d colored vertices it reads at depth d.
     """
     cfg.check_vertices(h.n)
     deadline = None if cfg.time_budget is None else time.perf_counter() + cfg.time_budget
@@ -217,78 +222,64 @@ def _search(
             yield lo, seq[lo:lo + _INDEX_EVERY]
 
     n = h.n
-    # partners[v]: (u, mask) per vertex u sharing a 3-element bi-edge with v,
-    # the mask in vertex bits of the third members of their bi-edges
-    partners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    if h.pair_rows is not None:
-        # a builder's masks, and its edges are all 3-element bi-edges. degree[v]
-        # counts each edge through v twice: it is a bit in two of v's masks
-        degree = [0] * n
-        work = 0
-        for a, row in enumerate(h.pair_rows):
-            work += len(row)
-            for b, m in enumerate(row, a + 1):
-                if m:
-                    k = m.bit_count()
-                    degree[a] += k
-                    degree[b] += k
-                    work += k
-                    partners[a].append((b, m))
-                    partners[b].append((a, m))
-            if work >= 3 * _INDEX_EVERY:  # each edge is a bit in three masks
-                work = 0
-                index_clock()
-        # a pair is in two partner lists; an edge counts twice for each of its 3 members
-        pair_path = _pairs_pay(sum(map(len, partners)) // 2, sum(degree) // 6)
-        if pair_path:
-            edges, in_c, in_d = (), [], []
-        else:
-            partners = [[] for _ in range(n)]
-            edges, in_c, in_d = h.edge_table()
-    else:
+    # rows[a][b - a - 1], a < b: the mask of the pair {a, b}, a builder's or
+    # made here from the 3-element bi-edges
+    rows = h.pair_rows
+    edges, in_c, in_d = None, [], []  # a builder's edges are made only if the edge path needs them
+    kept: list[int] = []  # the other edges, by index in `edges`
+    if rows is None:
         edges, in_c, in_d = h.edge_table()
-        degree = Counter()
-        for _, block in blocks(edges):
-            degree.update(itertools.chain.from_iterable(block))
-        # the edges in both families: a bi-hypergraph's shared tuple, or those flagged so
-        bi = edges if in_c is in_d else [e for e, c, d in zip(edges, in_c, in_d) if c and d]
-        # rows[a][b], a < b: the third members of the 3-element bi-edges through a, b
-        rows: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
-        for _, block in blocks(bi):
-            for e in block:
-                if len(e) == 3:
+        rows = [[0] * (n - a - 1) for a in range(n)]
+        for lo, block in blocks(edges):
+            for i, e in enumerate(block, lo):
+                if len(e) == 3 and in_c[i] and in_d[i]:
                     a, b, c = e
                     row = rows[a]
-                    row[b] |= 1 << c
-                    row[c] |= 1 << b
-                    rows[b][c] |= 1 << a
-        triples = list(map(len, bi)).count(3)
-        pair_path = _pairs_pay(sum(map(len, rows)), triples)
-        if pair_path:
-            for a, row in enumerate(rows):
-                for b, m in row.items():
-                    partners[a].append((b, m))
-                    partners[b].append((a, m))
-            # the edge path keeps the other edges only
-            kept = [] if triples == len(edges) else [
-                i for i, e in enumerate(edges) if len(e) != 3 or not (in_c[i] and in_d[i])]
-            edges = [edges[i] for i in kept]
-            in_c = [in_c[i] for i in kept]
-            in_d = [in_d[i] for i in kept]
-        del bi, rows
-    # ties go to the vertex in more edges, then to the lower index
-    order = sorted(range(n), key=lambda v: (-degree[v], v))
-    rank = [0] * n
-    for p, v in enumerate(order):
-        rank[v] = p
-    bit = [1 << p for p in rank]  # bit[v]: v's rank as a one-bit mask
+                    row[b - a - 1] |= 1 << c
+                    row[c - a - 1] |= 1 << b
+                    rows[b][c - b - 1] |= 1 << a
+                else:
+                    kept.append(i)
+    # each 3-element bi-edge is a bit in three masks
+    pair_path = _pairs_pay(sum(len(row) - row.count(0) for row in rows),
+                           sum(map(int.bit_count, itertools.chain.from_iterable(rows))) // 3)
+    # pm[v][u]: the mask of the pair {v, u}, 0 for u == v; bits[v]: the
+    # popcount of pm[v], two per 3-element bi-edge through v
+    pm: list[list[int]] = []
+    bits = [0] * n
+    if pair_path:
+        work = 0
+        for v in range(n):
+            # the column above v, then v's own row
+            row = [*map(operator.getitem, rows[:v], range(v - 1, -1, -1)), 0, *rows[v]]
+            pm.append(row)
+            bits[v] = sum(map(int.bit_count, row))
+            work += n + bits[v]
+            if work >= 6 * _INDEX_EVERY:  # each edge is a bit in six row entries
+                work = 0
+                index_clock()
+        # the edge path keeps the other edges only (none of a builder's)
+        edges = [edges[i] for i in kept]
+        in_c = [in_c[i] for i in kept]
+        in_d = [in_d[i] for i in kept]
+    elif edges is None:
+        edges, in_c, in_d = h.edge_table()
+    del rows
     left = [len(e) for e in edges]  # uncolored members per edge-path edge
     incident: list[list[int]] = [[] for _ in range(n)]
     for lo, block in blocks(edges):
         for i, e in enumerate(block, lo):
             for v in e:
                 incident[v].append(i)
-    cost = [1 + len(p) + len(i) for p, i in zip(partners, incident)]  # work per class try
+    # ties go to the vertex in more edges, then to the lower index; degree[v]
+    # counts each edge through v twice
+    degree = [b + 2 * len(i) for b, i in zip(bits, incident)]
+    order = sorted(range(n), key=lambda v: (-degree[v], v))
+    rank = [0] * n
+    for p, v in enumerate(order):
+        rank[v] = p
+    bit = [1 << p for p in rank]  # bit[v]: v's rank as a one-bit mask
+    cost = [1 + len(i) for i in incident]  # work per class try, and d more on the pair path
     free = (1 << n) - 1  # bit p: order[p] is not yet branched on
     blank = free  # bit v: v is not yet branched on
     labels = [-1] * n
@@ -375,7 +366,7 @@ def _search(
             color = low.bit_length() - 1
             nodes += 1
             if deadline is not None:
-                work += cost[v]
+                work += (cost[v] + d) if pair_path else cost[v]
                 if work >= _CLOCK_EVERY:
                     work = 0
                     if time.perf_counter() > deadline:
@@ -386,12 +377,11 @@ def _search(
             labels[v] = color
             if pair_path:
                 # by[k]: the third members of v's 3-element bi-edges with a
-                # partner of class k
+                # colored vertex of class k
+                row = pm[v]
                 by = [0] * (used[d] + 1)
-                for u, m in partners[v]:
-                    k = labels[u]
-                    if k >= 0:
-                        by[k] |= m
+                for u in var[:d]:
+                    by[labels[u]] |= row[u]
                 wiped = False
                 for k, third in enumerate(by):
                     third &= blank

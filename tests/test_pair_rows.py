@@ -2,8 +2,9 @@
 
 A builder hands its hypergraph one mask of third members per vertex pair. The
 edge tuples are made from the masks when first read, and the exact search
-indexes the masks directly; a hypergraph from JSON has no masks and takes the
-edge route. Both must give what the edge tuples alone give.
+indexes the masks directly; a hypergraph from JSON has no masks, and the search
+makes masks of the same shape from its edges (the edge route). Both must give
+what the edge tuples alone give.
 """
 
 import copy

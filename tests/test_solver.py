@@ -25,11 +25,13 @@ from bihyper import (
     chromatic_spectrum,
     enumerate_feasible_partitions,
     feasible_set,
+    from_json_dict,
     is_isomorphic,
     is_proper_coloring,
     make_mixed_hypergraph,
     product_bihypergraph,
     reduced_bihypergraph,
+    to_json_dict,
     verify_edge_maximality,
     verify_reduced_equivalence,
 )
@@ -162,6 +164,22 @@ def test_collecting_edgeless_9_peaks_below_250_bytes_per_partition():
     assert peak / len(found) < 250
 
 
+def test_spectrum_of_a_built_product_peaks_below_half_a_megabyte():
+    # one row of masks per vertex shares the builder's mask objects: about
+    # 0.2 MB on (6,5,4), against 1.0 MB with two (vertex, mask) tuples per pair
+    h = product_bihypergraph(DimsSpec.of(6, 5, 4))
+    cfg = EnumerationConfig(max_vertices=120)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        spectrum = chromatic_spectrum(h, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spectrum.counts[3:] == (1, 1, 1)
+    assert peak < 500_000
+
+
 def test_collected_partition_cap(monkeypatch):
     monkeypatch.setattr(solver, "MAX_COLLECTED_PARTITIONS", 100)
     assert len(enumerate_feasible_partitions(edgeless(5))) == 52
@@ -192,8 +210,9 @@ def test_time_budget_polls_the_clock_under_batched_leaves():
 
 
 def test_time_budget_counts_the_edges_each_try_scans(clock):
-    # (5,4,3) needs 166 class tries, far fewer than 4096, but each scans the
-    # tried vertex's 59 partners: the clock must be read long before the search ends
+    # (5,4,3) needs 166 class tries, far fewer than 4096, but a try at depth d
+    # reads the tried vertex's masks at its d colored vertices, up to 59: the
+    # clock must be read long before the search ends
     h = product_bihypergraph(DimsSpec.of(5, 4, 3))
     clock.tick = 1.0  # every read finds the last one's deadline passed
     with pytest.raises(CapExceeded, match="during enumeration") as err:
@@ -205,10 +224,15 @@ def test_time_budget_counts_the_edges_each_try_scans(clock):
     assert clock.reads == 0
 
 
-def test_time_budget_covers_the_index_build(clock):
-    # (6,5,4) has 28,800 edges: each pass of the index build reads the clock
-    # after every 8,192 of them, so the budget trips before the first node
+@pytest.mark.parametrize("loaded", [False, True], ids=["builder", "json"])
+def test_time_budget_covers_the_index_build(clock, loaded):
+    # (6,5,4) has 28,800 edges: the index build reads the clock after every
+    # 8,192 of them in a pass over the edges (a JSON input's masks are made
+    # so), and after the rows of about as many edges (a builder's masks), so
+    # the budget trips before the first node
     h = product_bihypergraph(DimsSpec.of(6, 5, 4))
+    if loaded:
+        h = from_json_dict(to_json_dict(h))
     clock.tick = 1.0
     with pytest.raises(CapExceeded, match="indexing") as err:
         chromatic_spectrum(h, EnumerationConfig(max_vertices=120, time_budget=0.5))
