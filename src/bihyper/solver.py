@@ -112,9 +112,14 @@ def _time_left(
 
 def _pairs_pay(pairs: int, triples: int) -> bool:
     """Whether `_search` narrows through one mask per vertex pair of the third
-    members of its 3-element bi-edges, `triples` in all over `pairs` pairs:
-    the vertices' rows then hold 2 * pairs masks, against 3 * triples
-    entries in the incident-edge lists."""
+    members of its 3-element bi-edges, `triples` in all over `pairs` pairs.
+
+    It weighs the nonzero masks in the full rows (two per pair) against the
+    incident-list entries the edge path scans (three per edge). Though every
+    input gets full rows, the pair path also costs each try a read per
+    colored vertex and keeps the one-class sets: five of the ten random
+    `count` benchmark instances hold one bi-edge (pairs 3, triples 1), and
+    forced onto it their spectra took 15-53% longer (in-process, min of 5)."""
     return 2 * pairs < 3 * triples
 
 
@@ -167,11 +172,12 @@ def _search(
     builder's hypergraph hands over its own (`h.pair_rows`), and its edge
     tuples are neither read nor made unless the rule sends the edges to the
     edge path; any other hypergraph gets rows of the same shape from one
-    pass over its edges, which lists the edges left to the edge path. The
-    rule counts pairs and triples on these rows. On the pair path each
-    vertex v then gets a full row, `pm[v][u]` for every u, made from its own
-    row and the column above it, and its degree is that row's popcount plus
-    2 per edge-path edge through it (each edge counts twice). Masks stay in
+    pass over its edges, which lists the edges left to the edge path. One
+    pass then makes each vertex v's full row, `pm[v][u]` for every u, from
+    its own row and the column above it, and counts the rule on the full
+    rows (a pair lies in two, a bi-edge is a bit in six entries); the edge
+    path drops them. On the pair path v's degree is its full row's popcount
+    plus 2 per edge-path edge through it (each edge counts twice). Masks stay in
     vertex bits, so the branching order needs no remapping; `blank` masks
     the unbranched vertices in the same bits.
 
@@ -183,7 +189,7 @@ def _search(
     then to the lower index, so a contradiction among busy vertices is met
     before the idle ones are enumerated. Only the narrowed vertices can
     allow fewer classes than an untouched one, so the pick scans them, kept
-    as a mask in rank bits, in rank order, and stops at the first with one
+    as a mask with bit p for `order[p]`, in order, and stops at the first with one
     class left. No free vertex allows none: unopened classes are kept or
     dropped together, so a mask with no bit among the open classes and the
     fresh one is empty, and an empty mask was already a wipeout. The early
@@ -197,11 +203,11 @@ def _search(
     `labels` is reused: copy it to keep it, reset `labels[v]` after writing it.
     Returns `nodes`, the class tries above v. Under a budget the index build
     reads the clock once per `_INDEX_EVERY` edges in each pass over the
-    edges, and once per 6 * `_INDEX_EVERY` units while it makes the full
-    rows, where a vertex costs n plus its row's bits (each edge is a bit in
-    six row entries). The search reads it once per `_CLOCK_EVERY` units of
-    work: 1 per class try plus the incident edges it scans, and on the pair
-    path the d colored vertices it reads at depth d.
+    edges, and once per 6 * `_INDEX_EVERY` units in the full-row pass, where
+    a vertex costs n plus its row's bits (each edge is a bit in six row
+    entries). The search reads it once per `_CLOCK_EVERY` units of work: 1
+    per class try plus the incident edges it scans, and on the pair path
+    the d colored vertices it reads at depth d.
     """
     cfg.check_vertices(h.n)
     deadline = None if cfg.time_budget is None else time.perf_counter() + cfg.time_budget
@@ -240,30 +246,31 @@ def _search(
                     rows[b][c - b - 1] |= 1 << a
                 else:
                     kept.append(i)
-    # each 3-element bi-edge is a bit in three masks
-    pair_path = _pairs_pay(sum(len(row) - row.count(0) for row in rows),
-                           sum(map(int.bit_count, itertools.chain.from_iterable(rows))) // 3)
     # pm[v][u]: the mask of the pair {v, u}, 0 for u == v; bits[v]: the
     # popcount of pm[v], two per 3-element bi-edge through v
     pm: list[list[int]] = []
     bits = [0] * n
+    pairs = work = 0
+    for v in range(n):
+        # the column above v, then v's own row
+        row = [*map(operator.getitem, rows[:v], range(v - 1, -1, -1)), 0, *rows[v]]
+        pm.append(row)
+        bits[v] = sum(map(int.bit_count, row))
+        pairs += n - row.count(0)
+        work += n + bits[v]
+        if work >= 6 * _INDEX_EVERY:  # each edge is a bit in six row entries
+            work = 0
+            index_clock()
+    pair_path = _pairs_pay(pairs // 2, sum(bits) // 6)  # 2 rows per pair, 6 bits per edge
     if pair_path:
-        work = 0
-        for v in range(n):
-            # the column above v, then v's own row
-            row = [*map(operator.getitem, rows[:v], range(v - 1, -1, -1)), 0, *rows[v]]
-            pm.append(row)
-            bits[v] = sum(map(int.bit_count, row))
-            work += n + bits[v]
-            if work >= 6 * _INDEX_EVERY:  # each edge is a bit in six row entries
-                work = 0
-                index_clock()
         # the edge path keeps the other edges only (none of a builder's)
         edges = [edges[i] for i in kept]
         in_c = [in_c[i] for i in kept]
         in_d = [in_d[i] for i in kept]
-    elif edges is None:
-        edges, in_c, in_d = h.edge_table()
+    else:
+        pm, bits = [], [0] * n
+        if edges is None:
+            edges, in_c, in_d = h.edge_table()
     del rows
     left = [len(e) for e in edges]  # uncolored members per edge-path edge
     incident: list[list[int]] = [[] for _ in range(n)]
@@ -275,10 +282,9 @@ def _search(
     # counts each edge through v twice
     degree = [b + 2 * len(i) for b, i in zip(bits, incident)]
     order = sorted(range(n), key=lambda v: (-degree[v], v))
-    rank = [0] * n
+    bit = [0] * n  # bit[v]: v's place in `order` as a one-bit mask
     for p, v in enumerate(order):
-        rank[v] = p
-    bit = [1 << p for p in rank]  # bit[v]: v's rank as a one-bit mask
+        bit[v] = 1 << p
     cost = [1 + len(i) for i in incident]  # work per class try, and d more on the pair path
     free = (1 << n) - 1  # bit p: order[p] is not yet branched on
     blank = free  # bit v: v is not yet branched on

@@ -18,7 +18,7 @@ from bihyper import (
     save_hypergraph,
     to_json_dict,
 )
-from bihyper import cli, solver
+from bihyper import cli, constructions, solver
 from bihyper.cli import build_parser, run
 
 
@@ -263,6 +263,23 @@ def test_verify_size_bound(capsys):
     code, stdout, _ = invoke(capsys, "verify", "size-bound")
     assert code == 0
     assert "91 dimension vectors" in stdout
+
+
+def test_verify_size_bound_reports_a_construction_off_the_bound(capsys, monkeypatch):
+    # a construction that loses the vertex (6, 1, 1) misses the bound on every
+    # s = 3 dims with n_1 >= 6 (34 of 91); the sweep, not a traceback, must say so
+    class Dropping(set):
+        def add(self, v):
+            if v != (6, 1, 1):
+                super().add(v)
+
+    monkeypatch.setattr(constructions, "set", Dropping, raising=False)
+    code, stdout, stderr = invoke(capsys, "verify", "size-bound", "--json")
+    assert code == 1
+    report = json.loads(stdout.splitlines()[-1])
+    assert report["verified"] is False
+    assert len(report["mismatches"]) == 34 and [9, 9, 8] in report["mismatches"]
+    assert "Traceback" not in stderr
 
 
 @pytest.mark.parametrize(

@@ -240,6 +240,24 @@ def test_time_budget_covers_the_index_build(clock, loaded):
     assert clock.reads == 2  # the deadline, then the first block's end
 
 
+@pytest.mark.parametrize(("budget", "reads", "where"), [
+    (5.5, 7, "indexing"),
+    (6.5, 8, "during enumeration"),
+])
+def test_time_budget_covers_the_incident_pass(clock, budget, reads, where):
+    # the (6,5,4) product's 28,800 edges as C-edges alone take the edge path:
+    # reads 2-4 end blocks of the pass that makes the rows, reads 5-7 blocks
+    # of the pass that lists each vertex's incident edges (the full rows'
+    # 14,400 units read no clock), read 8 is the search's first
+    h = c_edges_only(product_bihypergraph(DimsSpec.of(6, 5, 4)))
+    clock.tick = 1.0
+    with pytest.raises(CapExceeded, match=where) as err:
+        chromatic_spectrum(h, EnumerationConfig(max_vertices=120, time_budget=budget))
+    assert clock.reads == reads
+    if where == "indexing":
+        assert err.value.stats == {"nodes": 0, "found": 0}
+
+
 @pytest.mark.parametrize(("build", "pair_path", "nodes"), [
     (lambda: product_bihypergraph(DimsSpec.of(7, 3, 3)), True, 178),
     (lambda: product_bihypergraph(DimsSpec.of(6, 3, 3)), True, 151),
@@ -266,6 +284,30 @@ def test_branching_is_pinned(monkeypatch, build, pair_path, nodes):
     cfg = EnumerationConfig(max_vertices=360)
     assert solver._search(build(), cfg, lambda labels, v, allowed, fresh: None) == nodes
     assert verdicts == [pair_path]
+
+
+@pytest.mark.parametrize(("build", "counts"), [
+    (lambda: product_bihypergraph(DimsSpec.of(6, 5, 4)), (7_140, 28_800)),
+    (lambda: from_json_dict(to_json_dict(product_bihypergraph(DimsSpec.of(6, 5, 4)))),
+     (7_140, 28_800)),
+    (lambda: reduced_bihypergraph(DimsSpec.of(12, 10, 8, 6, 4)), (493, 364)),
+    (lambda: make_mixed_hypergraph([(i + 1,) for i in range(6)],
+                                   [(0, 1, 2), (2, 3, 4), (1, 4, 5), (3, 5)], [(0, 1, 2)]),
+     (3, 1)),
+], ids=["product654", "product654_json", "reduced", "one_bi_edge"])
+def test_pair_rule_gets_the_pairs_and_triples(monkeypatch, build, counts):
+    # the verdicts pinned above would survive a wrong divisor on products;
+    # the rule's arguments are the covered pairs and the 3-element bi-edges
+    seen = []
+    real = solver._pairs_pay
+
+    def spy(pairs, triples):
+        seen.append((pairs, triples))
+        return real(pairs, triples)
+
+    monkeypatch.setattr(solver, "_pairs_pay", spy)
+    chromatic_spectrum(build(), EnumerationConfig(max_vertices=120))
+    assert seen == [counts]
 
 
 def test_search_hands_over_the_last_vertex_as_one_mask():
