@@ -7,15 +7,16 @@ Two independent routes compute the same answers:
   restricted-growth label strings whose last vertex comes as one class
   bitmask; the first expands, sorts and wraps each in a `Partition` (equal
   classes share one tuple), the second counts each mask. `_search` narrows
-  an edge's last free member by unit rules: through one mask per vertex pair
-  of the third members of its 3-element bi-edges where pairs lie in many of
-  them (the family builders' masks, or masks made in one pass over the
-  edges, kept as one full row per vertex and read at the colored vertices
-  only), where set tests on per-class masks decide the vertices left with
-  one class, and through per-edge counts of uncolored members otherwise. It
-  branches on the fewest allowed classes, found by a rank-order scan of the
-  narrowed vertices that stops at the first with one class, and has no
-  recursion limit;
+  an edge's last free member by unit rules, on one of two paths per run. A
+  3-uniform bi-hypergraph whose vertex pairs lie in many edges takes the
+  pair path: one mask per vertex pair of the third members of its edges
+  (the family builders' masks, or masks made in one pass over the edges,
+  kept as one full row per vertex and read at the colored vertices only),
+  where set tests on per-class masks decide the vertices left with one
+  class. Every other input takes the edge path: per-edge counts of
+  uncolored members. It branches on the fewest allowed classes, found by a
+  rank-order scan of the narrowed vertices that stops at the first with one
+  class, and has no recursion limit;
 * `brute_force_spectrum`: an unpruned scan of ALL set partitions filtered by
   the public properness predicate, the trusted oracle for small inputs.
 
@@ -115,11 +116,13 @@ def _pairs_pay(pairs: int, triples: int) -> bool:
     members of its 3-element bi-edges, `triples` in all over `pairs` pairs.
 
     It weighs the nonzero masks in the full rows (two per pair) against the
-    incident-list entries the edge path scans (three per edge). Though every
-    input gets full rows, the pair path also costs each try a read per
-    colored vertex and keeps the one-class sets: five of the ten random
-    `count` benchmark instances hold one bi-edge (pairs 3, triples 1), and
-    forced onto it their spectra took 15-53% longer (in-process, min of 5)."""
+    incident-list entries the edge path scans (three per edge). Though such
+    an input has its full rows made already, the pair path also costs each
+    try a read per colored vertex and keeps the one-class sets: on the
+    3-uniform bi-hypergraphs whose edges share no vertex pair, which the rule
+    turns away, forced onto it the spectrum of AG(2,3) (9 vertices, 12 edges)
+    took 20-34% longer and that of the cyclic STS(13) (13, 26) 19-25%
+    (in-process, min of 5 calls, three runs)."""
     return 2 * pairs < 3 * triples
 
 
@@ -141,45 +144,43 @@ def _search(
     * D-edge whose colored members share one color: w must avoid it
       (`dom[w] &= ~that class`).
 
-    Edges reach the rules by one of two paths:
+    A run takes one of two paths to the rules:
 
     * edge path: every edge keeps a count of its uncolored members, and a
       class try at v scans v's incident edges for those left with one;
-    * pair path, for 3-element bi-edges, which hold when they touch two
-      classes: each vertex pair {v, u} keeps one mask of the third members of
-      its 3-element bi-edges, bit w for vertex w.
+    * pair path, for an input whose every edge is a 3-element bi-edge, which
+      holds when it touches two classes: each vertex pair {v, u} keeps one
+      mask of the third members of its edges, bit w for vertex w.
       A try of class c at v reads v's masks at the colored vertices u alone,
       `var[:d]`: a u of class c
       sends every free vertex in its mask off c, and one of class k != c
       narrows every free vertex in its mask to {c, k}. Each free vertex is
       narrowed once per class its edges with v call for.
-      When this path is on, the search also keeps `one[c]`, the vertex bits
-      of the vertices whose mask is exactly class c, and `single`, their
-      union: a narrowing on either path that leaves one class sets them, and
-      its undo clears them. The edge path never reads them, so an input that
-      takes it alone does not keep them. Set tests decide those vertices at
-      once: one left with c alone, in a mask that sends it off c, or one
-      left with a class other than c and k, in a mask that narrows it to
-      {c, k}, is a wipeout; any other keeps its class. Only
+      This path also keeps `one[c]`, the vertex bits of the vertices whose
+      mask is exactly class c, and `single`, their union: a narrowing that
+      leaves one class sets them, and its undo clears them. Set tests decide
+      those vertices at once: one left with c alone, in a mask that sends it
+      off c, or one left with a class other than c and k, in a mask that
+      narrows it to {c, k}, is a wipeout; any other keeps its class. Only
       the free vertices outside `single` are narrowed one at a time.
 
-    3-element bi-edges take the pair path when it scans less (`_pairs_pay`):
-    when 2 * (the pairs they cover) < 3 * (their number), as in products and
-    the reduced family. Other edges, C-only and D-only 3-element ones too,
-    stay on the edge path.
+    Such an input takes the pair path when it scans less (`_pairs_pay`):
+    when 2 * (the pairs its edges cover) < 3 * (their number), as in
+    products and the reduced family. Every other input, and one the rule
+    turns away, takes the edge path with all its edges and no masks.
 
     The masks come as triangular rows, `rows[a][b - a - 1]` for a < b: a
     builder's hypergraph hands over its own (`h.pair_rows`), and its edge
-    tuples are neither read nor made unless the rule sends the edges to the
-    edge path; any other hypergraph gets rows of the same shape from one
-    pass over its edges, which lists the edges left to the edge path. One
-    pass then makes each vertex v's full row, `pm[v][u]` for every u, from
-    its own row and the column above it, and counts the rule on the full
-    rows (a pair lies in two, a bi-edge is a bit in six entries); the edge
-    path drops them. On the pair path v's degree is its full row's popcount
-    plus 2 per edge-path edge through it (each edge counts twice). Masks stay in
-    vertex bits, so the branching order needs no remapping; `blank` masks
-    the unbranched vertices in the same bits.
+    tuples are neither read nor made unless the rule turns it away; any
+    other hypergraph whose every edge is a 3-element bi-edge gets rows of the
+    same shape from one pass over its edges. One pass then makes each vertex
+    v's full row, `pm[v][u]` for every u, from its own row and the column
+    above it, and counts the rule on the full rows (a pair lies in two, an
+    edge is a bit in six entries); the edge path drops them. On the pair
+    path v's degree is its full row's popcount, and on the edge path twice
+    its incident edges, so each edge counts twice. Masks stay in vertex bits,
+    so the branching order needs no remapping; `blank` masks the unbranched
+    vertices in the same bits.
 
     A vertex left with no class prunes the branch (a wipeout). A narrowing
     that changes a mask goes on a trail and is undone on backtrack. Every
@@ -202,7 +203,7 @@ def _search(
     gets them at once, with `labels[v] == -1` and bit `fresh` opening a class.
     `labels` is reused: copy it to keep it, reset `labels[v]` after writing it.
     Returns `nodes`, the class tries above v. Under a budget the index build
-    reads the clock once per `_INDEX_EVERY` edges in each pass over the
+    reads the clock once per `_INDEX_EVERY` edges in its pass over the
     edges, and once per 6 * `_INDEX_EVERY` units in the full-row pass, where
     a vertex costs n plus its row's bits (each edge is a bit in six row
     entries). The search reads it once per `_CLOCK_EVERY` units of work: 1
@@ -229,49 +230,43 @@ def _search(
 
     n = h.n
     # rows[a][b - a - 1], a < b: the mask of the pair {a, b}, a builder's or
-    # made here from the 3-element bi-edges
+    # made here when every edge is a 3-element bi-edge; None for other inputs
     rows = h.pair_rows
-    edges, in_c, in_d = None, [], []  # a builder's edges are made only if the edge path needs them
-    kept: list[int] = []  # the other edges, by index in `edges`
+    edges, in_c, in_d = (), [], []  # a builder's edges are made only if the edge path needs them
     if rows is None:
         edges, in_c, in_d = h.edge_table()
-        rows = [[0] * (n - a - 1) for a in range(n)]
-        for lo, block in blocks(edges):
-            for i, e in enumerate(block, lo):
-                if len(e) == 3 and in_c[i] and in_d[i]:
-                    a, b, c = e
+        if all(in_c) and all(in_d) and set(map(len, edges)) == {3}:
+            rows = [[0] * (n - a - 1) for a in range(n)]
+            for _, block in blocks(edges):
+                for a, b, c in block:
                     row = rows[a]
                     row[b - a - 1] |= 1 << c
                     row[c - a - 1] |= 1 << b
                     rows[b][c - b - 1] |= 1 << a
-                else:
-                    kept.append(i)
     # pm[v][u]: the mask of the pair {v, u}, 0 for u == v; bits[v]: the
     # popcount of pm[v], two per 3-element bi-edge through v
     pm: list[list[int]] = []
     bits = [0] * n
-    pairs = work = 0
-    for v in range(n):
-        # the column above v, then v's own row
-        row = [*map(operator.getitem, rows[:v], range(v - 1, -1, -1)), 0, *rows[v]]
-        pm.append(row)
-        bits[v] = sum(map(int.bit_count, row))
-        pairs += n - row.count(0)
-        work += n + bits[v]
-        if work >= 6 * _INDEX_EVERY:  # each edge is a bit in six row entries
-            work = 0
-            index_clock()
-    pair_path = _pairs_pay(pairs // 2, sum(bits) // 6)  # 2 rows per pair, 6 bits per edge
-    if pair_path:
-        # the edge path keeps the other edges only (none of a builder's)
-        edges = [edges[i] for i in kept]
-        in_c = [in_c[i] for i in kept]
-        in_d = [in_d[i] for i in kept]
-    else:
-        pm, bits = [], [0] * n
-        if edges is None:
+    pair_path = False
+    if rows is not None:
+        pairs = work = 0
+        for v in range(n):
+            # the column above v, then v's own row
+            row = [*map(operator.getitem, rows[:v], range(v - 1, -1, -1)), 0, *rows[v]]
+            pm.append(row)
+            bits[v] = sum(map(int.bit_count, row))
+            pairs += n - row.count(0)
+            work += n + bits[v]
+            if work >= 6 * _INDEX_EVERY:  # each edge is a bit in six row entries
+                work = 0
+                index_clock()
+        del rows
+        pair_path = _pairs_pay(pairs // 2, sum(bits) // 6)  # 2 rows per pair, 6 bits per edge
+        if pair_path:
+            edges, in_c, in_d = (), [], []
+        else:
+            pm, bits = [], [0] * n
             edges, in_c, in_d = h.edge_table()
-    del rows
     left = [len(e) for e in edges]  # uncolored members per edge-path edge
     incident: list[list[int]] = [[] for _ in range(n)]
     for lo, block in blocks(edges):
@@ -452,9 +447,6 @@ def _search(
                 dom[w] = mask
                 if not mask:
                     break  # wipeout: try the next class
-                if pair_path and not mask & (mask - 1):
-                    one[mask.bit_length() - 1] |= 1 << w
-                    single |= 1 << w
             else:
                 rest[d] = todo
                 used[d + 1] = used[d] + 1 if color == used[d] else used[d]

@@ -14,6 +14,7 @@ from bihyper import (
     DimsSpec,
     chromatic_spectrum,
     load_hypergraph,
+    make_mixed_hypergraph,
     product_bihypergraph,
     save_hypergraph,
     to_json_dict,
@@ -92,6 +93,18 @@ def test_written_files_put_one_key_per_line(tmp_path, capsys):
     assert [key for pair in pairs for key in pair] == ["dims", "vertices", "c_edges", "d_edges"]
     assert {k: v for pair in pairs for k, v in pair.items()} == to_json_dict(h)
     assert load_hypergraph(a) == h
+
+
+def test_a_mixed_hypergraph_is_written_byte_for_byte(tmp_path, capsys):
+    # two edge families of their own: each key gets its own text
+    h = make_mixed_hypergraph([(1,), (2,), (3,)], [(0, 1, 2)], [(0, 1), (1, 2)], dims=(3,))
+    saved, exported = tmp_path / "saved.json", tmp_path / "exported.json"
+    save_hypergraph(h, saved)
+    assert saved.read_text() == ('{\n  "dims": [3],\n  "vertices": [[1], [2], [3]],\n'
+                                 '  "c_edges": [[0, 1, 2]],\n  "d_edges": [[0, 1], [1, 2]]\n}\n')
+    assert invoke(capsys, "export", str(saved), "--out", str(exported))[0] == 0
+    assert exported.read_bytes() == saved.read_bytes()
+    assert load_hypergraph(saved) == h
 
 
 def test_files_in_the_indented_layout_still_load(tmp_path, capsys):

@@ -79,14 +79,15 @@ def planted_mixed_hypergraphs(draw):
 
 
 @st.composite
-def dense_triple_hypergraphs(draw, bi=True):
+def dense_triple_hypergraphs(draw, bi=True, mixed=True):
     """5-9 vertices whose 3-element edges crowd a core of 5-8 of them: more
-    than two for every three core pairs. As bi-edges they take the search's
-    pair path; with `bi=False` each is a C-edge or a D-edge only, and all of
-    them stay on the edge path.
+    than two for every three core pairs. As bi-edges alone (`mixed=False`)
+    they take the search's pair path; with `bi=False` each is a C-edge or a
+    D-edge only.
 
-    Up to three more 3-element edges, each a C-edge or a D-edge only, and up
-    to three 2- and 4-element edges anywhere stay on the edge path too.
+    A mixed draw adds up to three more 3-element edges, each a C-edge or a
+    D-edge only, and one to three 2- and 4-element edges anywhere, so it
+    takes the edge path with all its edges.
     """
     n = draw(st.integers(min_value=5, max_value=9))
     k = draw(st.integers(min_value=5, max_value=min(n, 8)))
@@ -95,29 +96,37 @@ def dense_triple_hypergraphs(draw, bi=True):
                             min_size=2 * comb(k, 2) // 3 + 1, unique=True))
     one_family = st.sampled_from(["C", "D"])
     side = st.just("CD") if bi else one_family
+    placed = [(e, draw(side)) for e in triples]
+    if not mixed:
+        return families(draw, n, [], placed)
     # distinct from the core's and from each other, so no two make a bi-edge
     rest = sorted(set(itertools.combinations(range(n), 3)) - set(triples))
     extra = draw(st.lists(st.sampled_from(rest), max_size=3, unique=True)) if rest else []
-    placed = [(e, draw(side)) for e in triples] + [(e, draw(one_family)) for e in extra]
+    placed += [(e, draw(one_family)) for e in extra]
     other = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=4,
                      unique=True).filter(lambda e: len(e) != 3)
-    return families(draw, n, draw(st.lists(other, max_size=3)), placed)
+    return families(draw, n, draw(st.lists(other, min_size=1, max_size=3)), placed)
 
 
 @st.composite
-def sparse_triple_hypergraphs(draw):
-    """4-9 vertices whose 3-element edges share no vertex pair, so they stay
-    on the search's edge path, with up to three 2- and 4-element edges."""
+def sparse_triple_hypergraphs(draw, mixed=True):
+    """4-9 vertices whose 3-element edges share no vertex pair, so the
+    pair-path rule turns them away. A mixed draw adds one to three 2- and
+    4-element edges and puts every edge in C, D or both; otherwise there are
+    1-12 triples, all bi-edges."""
     n = draw(st.integers(min_value=4, max_value=9))
     member = st.integers(min_value=0, max_value=n - 1)
     triples, seen = [], set()
-    for e in draw(st.lists(st.lists(member, min_size=3, max_size=3, unique=True), max_size=12)):
+    for e in draw(st.lists(st.lists(member, min_size=3, max_size=3, unique=True),
+                           min_size=0 if mixed else 1, max_size=12)):
         pairs = set(itertools.combinations(sorted(e), 2))
         if not pairs & seen:
             seen |= pairs
             triples.append(e)
+    if not mixed:
+        return families(draw, n, [], [(e, "CD") for e in triples])
     other = st.lists(member, min_size=2, max_size=4, unique=True).filter(lambda e: len(e) != 3)
-    return families(draw, n, triples + draw(st.lists(other, max_size=3)))
+    return families(draw, n, triples + draw(st.lists(other, min_size=1, max_size=3)))
 
 
 def families(draw, n, edges, placed=()):
@@ -131,12 +140,16 @@ def families(draw, n, edges, placed=()):
                                  [e for e, f in placed if "D" in f])
 
 
-@pytest.mark.parametrize(("strategy", "pair_path"),
-                         [(dense_triple_hypergraphs(), True),
-                          (dense_triple_hypergraphs(bi=False), False),
-                          (sparse_triple_hypergraphs(), False)],
-                         ids=["dense", "dense_one_family", "sparse"])
-def test_both_search_paths_match_brute_force(strategy, pair_path):
+@pytest.mark.parametrize(("strategy", "rule"),
+                         [(dense_triple_hypergraphs(), []),
+                          (dense_triple_hypergraphs(mixed=False), [True]),
+                          (dense_triple_hypergraphs(bi=False), []),
+                          (sparse_triple_hypergraphs(), []),
+                          (sparse_triple_hypergraphs(mixed=False), [False])],
+                         ids=["dense", "dense_pure", "dense_one_family", "sparse", "sparse_pure"])
+def test_both_search_paths_match_brute_force(strategy, rule):
+    # only an input whose every edge is a 3-element bi-edge reaches the
+    # pair-path rule; a mixed one takes the edge path with all its edges
     real = solver._pairs_pay
     verdicts = []  # the pair-path rule as the search applied it
 
@@ -151,7 +164,7 @@ def test_both_search_paths_match_brute_force(strategy, pair_path):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_pairs_pay", spy)
             spectrum = chromatic_spectrum(h)
-        assert verdicts == [pair_path]
+        assert verdicts == rule
         assert spectrum == brute_force_spectrum(h)
 
     check()

@@ -241,14 +241,13 @@ def test_time_budget_covers_the_index_build(clock, loaded):
 
 
 @pytest.mark.parametrize(("budget", "reads", "where"), [
-    (5.5, 7, "indexing"),
-    (6.5, 8, "during enumeration"),
+    (2.5, 4, "indexing"),
+    (3.5, 5, "during enumeration"),
 ])
 def test_time_budget_covers_the_incident_pass(clock, budget, reads, where):
-    # the (6,5,4) product's 28,800 edges as C-edges alone take the edge path:
-    # reads 2-4 end blocks of the pass that makes the rows, reads 5-7 blocks
-    # of the pass that lists each vertex's incident edges (the full rows'
-    # 14,400 units read no clock), read 8 is the search's first
+    # the (6,5,4) product's 28,800 edges as C-edges alone take the edge path
+    # and make no pair masks: reads 2-4 end blocks of the pass that lists
+    # each vertex's incident edges, read 5 is the search's first
     h = c_edges_only(product_bihypergraph(DimsSpec.of(6, 5, 4)))
     clock.tick = 1.0
     with pytest.raises(CapExceeded, match=where) as err:
@@ -258,21 +257,35 @@ def test_time_budget_covers_the_incident_pass(clock, budget, reads, where):
         assert err.value.stats == {"nodes": 0, "found": 0}
 
 
-@pytest.mark.parametrize(("build", "pair_path", "nodes"), [
-    (lambda: product_bihypergraph(DimsSpec.of(7, 3, 3)), True, 178),
-    (lambda: product_bihypergraph(DimsSpec.of(6, 3, 3)), True, 151),
-    (lambda: product_bihypergraph(DimsSpec.of(5, 4, 3)), True, 166),
-    (lambda: product_bihypergraph(DimsSpec.of(6, 5, 4)), True, 338),
-    (lambda: product_bihypergraph(DimsSpec.of(6, 5, 4, 3)), True, 1_365),
-    (lambda: reduced_bihypergraph(DimsSpec.of(12, 10, 8, 6, 4)), True, 149),
-    (lambda: edgeless(10), False, 26_442),
-    (lambda: c_edges_only(product_bihypergraph(DimsSpec.of(4, 3))), False, 2_067),
+def test_pair_path_lists_no_incident_edges(clock):
+    # the JSON-loaded (6,5,4) product: reads 2-4 end blocks of the pass that
+    # makes its rows, reads 5-7 blocks of the full-row pass. The pair path
+    # lists no edge in the incident pass, and its tries scan none, so read 8
+    # is the search's first, 91 nodes in
+    h = from_json_dict(to_json_dict(product_bihypergraph(DimsSpec.of(6, 5, 4))))
+    clock.tick = 1.0
+    with pytest.raises(CapExceeded, match="during enumeration") as err:
+        chromatic_spectrum(h, EnumerationConfig(max_vertices=120, time_budget=6.5))
+    assert clock.reads == 8
+    assert err.value.stats == {"nodes": 91, "found": 0}
+
+
+@pytest.mark.parametrize(("build", "rule", "nodes"), [
+    (lambda: product_bihypergraph(DimsSpec.of(7, 3, 3)), [True], 178),
+    (lambda: product_bihypergraph(DimsSpec.of(6, 3, 3)), [True], 151),
+    (lambda: product_bihypergraph(DimsSpec.of(5, 4, 3)), [True], 166),
+    (lambda: product_bihypergraph(DimsSpec.of(6, 5, 4)), [True], 338),
+    (lambda: product_bihypergraph(DimsSpec.of(6, 5, 4, 3)), [True], 1_365),
+    (lambda: reduced_bihypergraph(DimsSpec.of(12, 10, 8, 6, 4)), [True], 149),
+    (lambda: edgeless(10), [], 26_442),
+    (lambda: c_edges_only(product_bihypergraph(DimsSpec.of(4, 3))), [], 2_067),
 ], ids=["product733", "product633", "product543", "product654", "product6543", "reduced",
         "edgeless10", "c_only43"])
-def test_branching_is_pinned(monkeypatch, build, pair_path, nodes):
+def test_branching_is_pinned(monkeypatch, build, rule, nodes):
     # class tries: both paths narrow to the same masks, so these counts pin
-    # the branching whichever path an instance takes. Only 3-element bi-edges
-    # take the pair path: the (4,3) product's edges as C-edges alone do not
+    # the branching whichever path an instance takes. Only an input whose
+    # every edge is a 3-element bi-edge gets pair masks and the pair-path
+    # rule: edgeless 10 and the (4,3) product's edges as C-edges alone do not
     verdicts = []  # the pair-path rule as the search applied it
     real = solver._pairs_pay
 
@@ -283,18 +296,19 @@ def test_branching_is_pinned(monkeypatch, build, pair_path, nodes):
     monkeypatch.setattr(solver, "_pairs_pay", spy)
     cfg = EnumerationConfig(max_vertices=360)
     assert solver._search(build(), cfg, lambda labels, v, allowed, fresh: None) == nodes
-    assert verdicts == [pair_path]
+    assert verdicts == rule
 
 
 @pytest.mark.parametrize(("build", "counts"), [
-    (lambda: product_bihypergraph(DimsSpec.of(6, 5, 4)), (7_140, 28_800)),
+    (lambda: product_bihypergraph(DimsSpec.of(6, 5, 4)), (7_140, 28_800, True)),
     (lambda: from_json_dict(to_json_dict(product_bihypergraph(DimsSpec.of(6, 5, 4)))),
-     (7_140, 28_800)),
-    (lambda: reduced_bihypergraph(DimsSpec.of(12, 10, 8, 6, 4)), (493, 364)),
+     (7_140, 28_800, True)),
+    (lambda: reduced_bihypergraph(DimsSpec.of(12, 10, 8, 6, 4)), (493, 364, True)),
     (lambda: make_mixed_hypergraph([(i + 1,) for i in range(6)],
-                                   [(0, 1, 2), (2, 3, 4), (1, 4, 5), (3, 5)], [(0, 1, 2)]),
-     (3, 1)),
-], ids=["product654", "product654_json", "reduced", "one_bi_edge"])
+                                   [(0, 1, 2), (2, 3, 4), (1, 4, 5)],
+                                   [(0, 1, 2), (2, 3, 4), (1, 4, 5)]),
+     (9, 3, False)),
+], ids=["product654", "product654_json", "reduced", "sparse_bi"])
 def test_pair_rule_gets_the_pairs_and_triples(monkeypatch, build, counts):
     # the verdicts pinned above would survive a wrong divisor on products;
     # the rule's arguments are the covered pairs and the 3-element bi-edges
@@ -302,8 +316,8 @@ def test_pair_rule_gets_the_pairs_and_triples(monkeypatch, build, counts):
     real = solver._pairs_pay
 
     def spy(pairs, triples):
-        seen.append((pairs, triples))
-        return real(pairs, triples)
+        seen.append((pairs, triples, real(pairs, triples)))
+        return seen[-1][-1]
 
     monkeypatch.setattr(solver, "_pairs_pay", spy)
     chromatic_spectrum(build(), EnumerationConfig(max_vertices=120))
@@ -494,15 +508,15 @@ def test_solver_agrees_with_direct_partition_scan():
         assert got.total_partitions == sum(expected.values())
 
 
-def dense_bi_instance(seed):
+def dense_bi_instance(seed, two_edges=True):
     """5-9 vertices with n to 3n 3-element bi-edges, drawn from `seed`, and up
-    to three 2-edges, each a C-edge or a D-edge."""
+    to three 2-edges, each a C-edge or a D-edge (none if not `two_edges`)."""
     rng = random.Random(seed)
     n = rng.randint(5, 9)
     triples = list(itertools.combinations(range(n), 3))
     bi = rng.sample(triples, rng.randint(n, min(3 * n, len(triples))))
     c_edges, d_edges = list(bi), list(bi)
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(rng.randint(0, 3) if two_edges else 0):
         e = rng.sample(range(n), 2)
         (c_edges if rng.random() < 0.5 else d_edges).append(e)
     return make_mixed_hypergraph([(i + 1,) for i in range(n)], c_edges, d_edges)
@@ -510,8 +524,10 @@ def dense_bi_instance(seed):
 
 def test_pair_path_matches_partition_scan_on_seeded_dense_instances(monkeypatch):
     # a fixed sweep beside the Hypothesis one: the pair path's one-class set
-    # tests, their undo and the 2-edges that leave a vertex one class each go
-    # wrong on only a few such draws, so 40 random ones can miss a slip
+    # tests and their undo go wrong on only a few such draws, so 40 random
+    # ones can miss a slip. Each seed gives a pure bi-hypergraph, which gets
+    # the pair-path rule, and, when it drew 2-edges, a mixed input on the
+    # edge path, which does not
     real = solver._pairs_pay
     verdicts = []
 
@@ -521,12 +537,26 @@ def test_pair_path_matches_partition_scan_on_seeded_dense_instances(monkeypatch)
 
     monkeypatch.setattr(solver, "_pairs_pay", spy)
     for seed in range(200):
-        h = dense_bi_instance(seed)
-        expected = oracle_spectrum(h)
-        got = chromatic_spectrum(h)
-        assert {k: got.r(k) for k in expected} == expected, seed
-        assert got.total_partitions == sum(expected.values()), seed
-    assert len(verdicts) == 200 and sum(verdicts) == 101  # the draws on the pair path
+        for h in dict.fromkeys([dense_bi_instance(seed), dense_bi_instance(seed, False)]):
+            expected = oracle_spectrum(h)
+            got = chromatic_spectrum(h)
+            assert {k: got.r(k) for k in expected} == expected, seed
+            assert got.total_partitions == sum(expected.values()), seed
+    assert len(verdicts) == 200 and sum(verdicts) == 101  # the pure draws on the pair path
+
+
+def test_a_product_with_a_two_edge_takes_the_edge_path(monkeypatch):
+    # one D-only 2-edge between vertices that differ in every coordinate
+    # keeps every axis partition, and makes the input mixed: it takes the
+    # edge path with all its edges and never reaches the pair-path rule
+    built = product_bihypergraph(DimsSpec.of(5, 4, 3))
+    h = make_mixed_hypergraph(built.vertices, built.c_edges, [*built.d_edges, (0, built.n - 1)],
+                              dims=built.dims)
+    want = chromatic_spectrum(built)
+    monkeypatch.setattr(solver, "_pairs_pay", lambda pairs, triples: pytest.fail("rule called"))
+    assert chromatic_spectrum(h) == want
+    # 3 fewer than the product's 166: the 2-edge keeps vertices 0 and 59 apart
+    assert solver._search(h, EnumerationConfig(), lambda labels, v, allowed, fresh: None) == 163
 
 
 # --- determinism -----------------------------------------------------------------------
